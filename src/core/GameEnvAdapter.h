@@ -26,9 +26,9 @@ namespace core {
 
 /// Thin adapter; non-owning by default, or owning when handed the game
 /// by unique_ptr (the RolloutRunner env-pool case, where the runner
-/// must keep its games alive). Exposes the game's split-step interface
-/// as rl::LockstepEnv, so the serial rollout path can advance sibling
-/// games' reward measurements through one gpusim batch round.
+/// must keep its games alive). Exposes the game's three-phase step as
+/// rl::LockstepEnv, so a wrapper can time the apply, measure and
+/// complete phases of a step apart.
 class GameEnvAdapter : public rl::Env, public rl::LockstepEnv {
 public:
   explicit GameEnvAdapter(env::AssemblyGame &Game) : Game(Game) {}
@@ -53,17 +53,14 @@ public:
   /// @{
   void beginStep(unsigned Action) override { Game.beginStep(Action); }
   void measureBatch(const std::vector<rl::LockstepEnv *> &Pending) override {
-    // Peel the assembly games out of the pending set; foreign concrete
-    // types (mixed pools exist only in tests) advance themselves.
-    std::vector<env::AssemblyGame *> Games;
-    Games.reserve(Pending.size());
+    // One measurement per pending game, in order; foreign concrete
+    // types advance themselves.
     for (rl::LockstepEnv *P : Pending) {
       if (auto *A = dynamic_cast<GameEnvAdapter *>(P))
-        Games.push_back(&A->Game);
-      else if (P && P != this)
+        A->Game.measurePending();
+      else if (P)
         P->measureBatch({P});
     }
-    env::AssemblyGame::measureLockstep(Games);
   }
   rl::EnvStep finishStep() override { return toEnvStep(Game.finishStep()); }
   /// @}

@@ -116,26 +116,21 @@ public:
   std::vector<float> reset();
   StepResult step(unsigned Action);
 
-  /// \name Split-step interface (lockstep batch measurement)
-  /// step(A) is exactly `beginStep(A); measureLockstep({this});
-  /// finishStep()` — the split exists so a rollout engine can advance
-  /// the measurements of several sibling games through one
-  /// measureLockstep() round (gpusim::measureKernelBatch lanes) instead
-  /// of one game at a time. Bit-identity of the collected trajectories
-  /// rests on the MeasurementCache determinism contract: a schedule's
-  /// cached latency is a pure function of the schedule key, never of
-  /// which sibling measured it first.
+  /// \name Split-step interface
+  /// step(A) is exactly `beginStep(A); measurePending(); finishStep()`:
+  /// one step in three phases (apply the swap, measure the reward
+  /// schedule, complete the transition), so a caller can attribute
+  /// each phase's time separately. Nothing is batched across games.
   /// @{
   /// Applies \p Action up to (not including) the reward measurement.
   /// Exactly one finishStep() must follow before the next beginStep().
   void beginStep(unsigned Action);
-  /// Runs the pending measurements of \p Games in lockstep and
-  /// publishes the values into their caches. Games that need no
-  /// measurement (early-out step, already-cached schedule, duplicate
-  /// key, no cache, a device shared with an earlier lane) are skipped —
-  /// their finishStep() resolves through the ordinary measure() path.
-  static void measureLockstep(const std::vector<AssemblyGame *> &Games);
-  /// Completes the transition begun by beginStep().
+  /// Measures the pending schedule once through the ordinary cache
+  /// path. A no-op when the pending step needs no measurement (masked
+  /// or structurally impossible action) or was already measured.
+  void measurePending();
+  /// Completes the transition begun by beginStep(), measuring first if
+  /// measurePending() was not called.
   StepResult finishStep();
   /// @}
 
@@ -214,7 +209,7 @@ private:
   struct PendingStep {
     bool Active = false;      ///< beginStep called, finishStep outstanding.
     bool NeedMeasure = false; ///< The swap was applied; latency pending.
-    bool Measured = false;    ///< measureLockstep simulated this game.
+    bool Measured = false;    ///< measurePending ran.
     double T = 0.0;           ///< The measured latency when Measured.
     size_t Upper = 0;         ///< The applied swap (for revert / trace).
     bool Up = false;
@@ -223,8 +218,6 @@ private:
 
   double measure();
   double simulateCurrent(uint64_t NoiseSeed);
-  double acceptMeasurement(const gpusim::Measurement &M,
-                           const gpusim::MeasureConfig &MC);
   void rebuildCaches();
   void rebuildMask();
   void computeMaskEntry(size_t MovableIdx, std::vector<uint8_t> &Out) const;

@@ -267,6 +267,19 @@ core::OptimizeConfig takeConfig(Cursor &C) {
   return Cfg;
 }
 
+/// The config field a job would divide by while it is zero, or null.
+/// A zero here would kill the serving process (integer division), not
+/// just fail the one job, so the decoder refuses it.
+const char *zeroDivisorField(const core::OptimizeConfig &Cfg) {
+  if (Cfg.Ppo.MiniBatches == 0)
+    return "Ppo.MiniBatches";
+  if (Cfg.Game.Measure.RepeatIters == 0)
+    return "Game.Measure.RepeatIters";
+  if (Cfg.AutotuneMeasure.RepeatIters == 0)
+    return "AutotuneMeasure.RepeatIters";
+  return nullptr;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -369,6 +382,9 @@ net::decodeRequestPayload(const uint8_t *Data, size_t Size) {
   C.atEnd();
   if (!C.ok())
     return Error("malformed request payload: " + C.error());
+  if (R.Config)
+    if (const char *Field = zeroDivisorField(*R.Config))
+      return Error(std::string("config field ") + Field + " must be nonzero");
   return R;
 }
 

@@ -126,7 +126,10 @@ std::vector<uint8_t> encodeResponseFrame(const WireResponse &R,
 
 /// Decodes a payload previously framed by the encoder above. Strict:
 /// any truncation, embedded-cubin decode failure, out-of-range enum
-/// value or trailing byte is an error.
+/// value or trailing byte is an error. A request config whose
+/// Ppo.MiniBatches, Game.Measure.RepeatIters or
+/// AutotuneMeasure.RepeatIters is zero is an error too: a job divides
+/// by each of them.
 Expected<serve::OptimizeRequest> decodeRequestPayload(const uint8_t *Data,
                                                       size_t Size);
 Expected<WireResponse> decodeResponsePayload(const uint8_t *Data,

@@ -365,6 +365,49 @@ TEST(WireTest, ResponseRoundTripsExactly) {
 // Wire: fuzz robustness
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Encodes a Softmax request carrying \p Cfg and decodes its payload.
+Expected<OptimizeRequest> decodeWithConfig(const core::OptimizeConfig &Cfg) {
+  OptimizeRequest R = request(WorkloadKind::Softmax);
+  R.Config = Cfg;
+  std::vector<uint8_t> Frame = encodeRequestFrame(R, 1);
+  return decodeRequestPayload(Frame.data() + kHeaderSize,
+                              Frame.size() - kHeaderSize);
+}
+
+/// A zero in \p Field must fail the decode and name the field.
+void expectZeroRejected(const core::OptimizeConfig &Cfg,
+                        const std::string &Field) {
+  Expected<OptimizeRequest> D = decodeWithConfig(Cfg);
+  ASSERT_FALSE(static_cast<bool>(D));
+  EXPECT_NE(D.error().message().find(Field), std::string::npos)
+      << D.error().message();
+}
+
+} // namespace
+
+// A job divides by each of these fields, so a zero would take down
+// the whole serving process, not just fail one job.
+TEST(WireTest, ZeroPpoMiniBatchesIsRejected) {
+  ASSERT_TRUE(static_cast<bool>(decodeWithConfig(tinyConfig())));
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.Ppo.MiniBatches = 0;
+  expectZeroRejected(Cfg, "Ppo.MiniBatches");
+}
+
+TEST(WireTest, ZeroGameRepeatItersIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.Game.Measure.RepeatIters = 0;
+  expectZeroRejected(Cfg, "Game.Measure.RepeatIters");
+}
+
+TEST(WireTest, ZeroAutotuneRepeatItersIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.AutotuneMeasure.RepeatIters = 0;
+  expectZeroRejected(Cfg, "AutotuneMeasure.RepeatIters");
+}
+
 TEST(WireTest, EveryTruncationOfAValidPayloadIsRejected) {
   OptimizeRequest R = request(WorkloadKind::Softmax);
   R.Config = tinyConfig();
@@ -480,6 +523,11 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
     }
   }
 
+  // Near misses answer Degraded and start a background upgrade; with
+  // two workers a later repeat of the key would race that upgrade
+  // (Optimized if it attaches, LookupHit if the upgrade finished).
+  // Draining after every response makes the stream sequential on both
+  // sides, so the comparison stays bit-exact.
   for (unsigned Workers : {1u, 2u}) {
     // In-process baseline.
     std::string DirA = freshDir("cuasmrl_net_inproc_" +
@@ -491,6 +539,7 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
         Ticket T = Service.submit(R);
         ASSERT_TRUE(T.valid());
         InProc.push_back(summarizeResponse(*T.Response.get()));
+        Service.drain();
       }
       Service.shutdown();
     }
@@ -511,6 +560,7 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
         Expected<WireResponse> Resp = Cli.call(R);
         ASSERT_TRUE(static_cast<bool>(Resp)) << Resp.error().message();
         OverNet.push_back(Resp.takeValue());
+        Service.drain();
       }
       NetStats NS = Srv.stats();
       EXPECT_EQ(NS.FramesReceived, 64u);
@@ -674,6 +724,42 @@ TEST(NetServerTest, MalformedTrafficDropsTheConnectionNotTheServer) {
     ASSERT_TRUE(C.recvResponse(Id, R));
     EXPECT_EQ(R.St, WireStatus::InvalidRequest);
   }
+  Srv.stop();
+  Service.shutdown();
+}
+
+TEST(NetServerTest, ZeroDivisorConfigAnswersInvalidRequestThenServes) {
+  gpusim::Gpu Device;
+  OptimizationService Service(Device, tinyService(/*Workers=*/1));
+  Server Srv(Service, ServerConfig{});
+  Expected<uint16_t> Port = Srv.start();
+  ASSERT_TRUE(static_cast<bool>(Port)) << Port.error().message();
+
+  RawConn C(*Port);
+  ASSERT_TRUE(C.ok());
+  OptimizeRequest Bad = request(WorkloadKind::Softmax);
+  Bad.Config = tinyConfig();
+  Bad.Config->Ppo.MiniBatches = 0;
+  ASSERT_TRUE(C.sendBytes(encodeRequestFrame(Bad, 31)));
+  uint64_t Id = 0;
+  WireResponse R;
+  ASSERT_TRUE(C.recvResponse(Id, R));
+  EXPECT_EQ(Id, 31u);
+  EXPECT_EQ(R.St, WireStatus::InvalidRequest);
+  EXPECT_NE(R.Error.find("Ppo.MiniBatches"), std::string::npos) << R.Error;
+
+  // The same connection, and the process, still serve a valid request.
+  OptimizeRequest Good = request(WorkloadKind::Softmax);
+  Good.Config = tinyConfig();
+  ASSERT_TRUE(C.sendBytes(encodeRequestFrame(Good, 32)));
+  ASSERT_TRUE(C.recvResponse(Id, R));
+  EXPECT_EQ(Id, 32u);
+  EXPECT_EQ(R.St, WireStatus::Optimized) << R.Error;
+  EXPECT_TRUE(R.HasBinary);
+
+  NetStats S = Srv.stats();
+  EXPECT_EQ(S.DecodeErrors, 1u);
+  EXPECT_EQ(S.RequestsSubmitted, 1u);
   Srv.stop();
   Service.shutdown();
 }
