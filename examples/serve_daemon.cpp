@@ -161,7 +161,6 @@ int main(int argc, char **argv) {
   SC.Defaults = demoConfig(Paper);
   SC.CrossProcessClaims = Claims;
   SC.AgingInterval = std::chrono::milliseconds(AgingMs);
-  SC.AgingStep = 1;
   OptimizationService Service(Device, SC);
 
   net::ServerConfig NC;

@@ -79,96 +79,55 @@ double MeasurementCache::measureOrCompute(
   // of the schedule alone, identical whether this schedule won the
   // cache slot, lost it to a primary collision, or bypassed the cache
   // entirely — so cached values can never depend on arrival order.
-  std::unique_lock<std::mutex> Lock(Mutex);
-  auto Emplaced = Map.try_emplace(Key.Primary);
-  Entry &E = Emplaced.first->second;
-  if (!Emplaced.second) {
-    // Someone got here first. If their simulation is still in flight,
-    // wait for the published value rather than duplicating the work.
-    Published.wait(Lock, [&E] { return E.Ready; });
-    if (!E.Failed) {
-      if (E.Check == Key.Check) {
-        ++Hits;
-        return E.ValueUs;
-      }
-      // Primary-hash collision: a different schedule owns this slot.
-      // Fall back to an uncached simulation.
-      ++Collisions;
-      Lock.unlock();
-      return Simulate(deriveSeed(BaseSeed, Key.Check));
+  auto C = Flight.acquire(Key.Primary);
+  if (C.Value) {
+    if (C.Value->Check == Key.Check) {
+      ++Hits;
+      return C.Value->ValueUs;
     }
-    // The previous computer threw: the key is not poisoned — reclaim
-    // the slot and recompute. (Other waiters see Ready drop back to
-    // false and resume waiting.)
-    E.Ready = false;
-    E.Failed = false;
+    // Primary-hash collision: a different schedule owns this slot.
+    // Fall back to an uncached simulation.
+    ++Collisions;
+    return Simulate(deriveSeed(BaseSeed, Key.Check));
   }
-  E.Check = Key.Check;
   ++Misses;
-  Lock.unlock();
-  double ValueUs = std::nan("");
+  double ValueUs = 0.0;
   try {
     ValueUs = Simulate(deriveSeed(BaseSeed, Key.Check));
   } catch (...) {
-    // Mark the failure so waiters unblock and retry, then propagate.
-    Lock.lock();
-    E.Failed = true;
-    E.Ready = true;
-    Lock.unlock();
-    Published.notify_all();
+    // Waiters wake and one re-claims: the key is never poisoned.
+    Flight.abandon(Key.Primary);
     throw;
   }
-  Lock.lock();
-  E.ValueUs = ValueUs;
-  E.Ready = true;
-  Lock.unlock();
-  Published.notify_all();
+  Flight.publish(Key.Primary, Entry{ValueUs, Key.Check});
   return ValueUs;
 }
 
 bool MeasurementCache::lookup(ScheduleKey Key, double &OutUs) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Map.find(Key.Primary);
-  if (It == Map.end() || !It->second.Ready || It->second.Failed ||
-      It->second.Check != Key.Check)
+  const Entry *E = Flight.find(Key.Primary);
+  if (!E || E->Check != Key.Check)
     return false;
-  OutUs = It->second.ValueUs;
+  OutUs = E->ValueUs;
   return true;
 }
 
-uint64_t MeasurementCache::hits() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Hits;
-}
+uint64_t MeasurementCache::hits() const { return Hits.load(); }
 
-uint64_t MeasurementCache::misses() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Misses;
-}
+uint64_t MeasurementCache::misses() const { return Misses.load(); }
 
-uint64_t MeasurementCache::collisions() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Collisions;
-}
+uint64_t MeasurementCache::collisions() const { return Collisions.load(); }
 
-size_t MeasurementCache::size() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  size_t Count = 0;
-  for (const auto &KV : Map)
-    Count += KV.second.Ready && !KV.second.Failed;
-  return Count;
-}
+size_t MeasurementCache::size() const { return Flight.size(); }
 
 double MeasurementCache::hitRate() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  uint64_t Total = Hits + Misses;
-  return Total ? static_cast<double>(Hits) / Total : 0.0;
+  uint64_t H = hits();
+  uint64_t Total = H + misses();
+  return Total ? static_cast<double>(H) / Total : 0.0;
 }
 
 void MeasurementCache::accumulate(PerfCounters &PC) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  PC.MeasureCacheHits += Hits;
-  PC.MeasureCacheMisses += Misses;
+  PC.MeasureCacheHits += hits();
+  PC.MeasureCacheMisses += misses();
 }
 
 MeasurementCache::ScheduleKey

@@ -22,11 +22,10 @@
 #include "gpusim/DecodedProgram.h"
 #include "gpusim/Gpu.h"
 #include "support/Rng.h"
+#include "support/SingleFlight.h"
 
-#include <condition_variable>
+#include <atomic>
 #include <functional>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace cuasmrl {
@@ -82,11 +81,12 @@ Measurement measureKernel(Gpu &Device, const sass::Program &Prog,
 ///
 /// Thread-safety contract: every member is safe to call concurrently
 /// from any number of threads. measureOrCompute() additionally gives a
-/// single-simulation guarantee per key — when several threads miss on
-/// the same key simultaneously, exactly one runs \p Simulate while the
-/// others block until its value is published (the waiters count as
-/// hits: they did not simulate). The simulation callback itself runs
-/// *outside* the cache lock, so distinct keys simulate in parallel.
+/// single-simulation guarantee per key (support::SingleFlight) — when
+/// several threads miss on the same key simultaneously, exactly one
+/// runs \p Simulate while the others block until its value is
+/// published (the waiters count as hits: they did not simulate). The
+/// simulation callback itself runs *outside* the cache lock, so
+/// distinct keys simulate in parallel.
 ///
 /// Determinism contract: the noise seed handed to \p Simulate is
 /// derived from (BaseSeed, Key) only — never from arrival order — so a
@@ -152,18 +152,14 @@ public:
 private:
   struct Entry {
     double ValueUs = 0.0;
-    uint64_t Check = 0;
-    bool Ready = false;
-    bool Failed = false; ///< Simulation threw; slot is reclaimable.
+    uint64_t Check = 0; ///< The schedule that owns the Primary slot.
   };
 
   uint64_t BaseSeed;
-  mutable std::mutex Mutex;
-  std::condition_variable Published;
-  std::unordered_map<uint64_t, Entry> Map;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Collisions = 0;
+  support::SingleFlight<uint64_t, Entry> Flight; ///< Keyed by Primary.
+  std::atomic<uint64_t> Hits{0};
+  std::atomic<uint64_t> Misses{0};
+  std::atomic<uint64_t> Collisions{0};
 };
 
 /// Incrementally-maintained schedule identity.

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -31,6 +32,28 @@ void setSocketTimeout(int Fd, std::chrono::milliseconds T) {
   Tv.tv_usec = static_cast<suseconds_t>((T.count() % 1000) * 1000);
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
   ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv));
+}
+
+/// Runs \p Try (returning an Expected) under the client's reconnect
+/// policy; once the attempts run out, the error names \p What, the
+/// attempt count and the last failure.
+template <typename Fn>
+auto retrying(const ClientConfig &C, support::Clock &Clk,
+              const std::string &What, Fn &&Try) -> decltype(Try()) {
+  std::optional<decltype(Try())> Last;
+  unsigned Attempts = 0;
+  support::retryWithBackoff(
+      C.Retry, Clk, C.Seed, fnv1a64("net-client"),
+      [&] {
+        ++Attempts;
+        Last.emplace(Try());
+        return static_cast<bool>(*Last);
+      },
+      [](unsigned) {});
+  if (*Last)
+    return std::move(*Last);
+  return Error(What + " failed after " + std::to_string(Attempts) +
+               " attempts: " + Last->error().message());
 }
 
 } // namespace
@@ -115,16 +138,7 @@ Expected<bool> Client::connectOnce() {
 }
 
 Expected<bool> Client::connect() {
-  for (unsigned Attempt = 1;; ++Attempt) {
-    Expected<bool> Ok = connectOnce();
-    if (Ok)
-      return Ok;
-    if (Attempt >= Config.Retry.MaxAttempts)
-      return Error("connect failed after " + std::to_string(Attempt) +
-                   " attempts: " + Ok.error().message());
-    Clk->sleepFor(support::backoffDelay(Config.Retry, Attempt, Config.Seed,
-                                        fnv1a64("net-client")));
-  }
+  return retrying(Config, *Clk, "connect", [&] { return connectOnce(); });
 }
 
 Expected<bool> Client::ensureConnected() {
@@ -216,19 +230,11 @@ Expected<WireResponse> Client::call(const serve::OptimizeRequest &R) {
   // single-flight attach). The receive does not retry — a response
   // may already be lost with the connection, and "wait again" could
   // double the caller's deadline.
-  uint64_t Id = 0;
-  for (unsigned Attempt = 1;; ++Attempt) {
-    Expected<uint64_t> Sent = send(R);
-    if (Sent) {
-      Id = *Sent;
-      break;
-    }
-    if (Attempt >= Config.Retry.MaxAttempts)
-      return Error("request send failed after " + std::to_string(Attempt) +
-                   " attempts: " + Sent.error().message());
-    Clk->sleepFor(support::backoffDelay(Config.Retry, Attempt, Config.Seed,
-                                        fnv1a64("net-client")));
-  }
+  Expected<uint64_t> Sent =
+      retrying(Config, *Clk, "request send", [&] { return send(R); });
+  if (!Sent)
+    return Sent.takeError();
+  const uint64_t Id = *Sent;
   while (true) {
     auto It = Stashed.find(Id);
     if (It != Stashed.end()) {

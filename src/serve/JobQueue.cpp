@@ -12,9 +12,8 @@
 using namespace cuasmrl;
 using namespace cuasmrl::serve;
 
-JobQueue::JobQueue(size_t B) : JobQueue(Options{B, nullptr,
-                                                std::chrono::milliseconds(0),
-                                                1}) {}
+JobQueue::JobQueue(size_t B)
+    : JobQueue(Options{B, nullptr, std::chrono::milliseconds(0)}) {}
 
 JobQueue::JobQueue(Options O)
     : Opts(O), Clk(O.ClockSrc ? O.ClockSrc : &support::Clock::real()) {}
@@ -73,8 +72,8 @@ size_t JobQueue::nextIndex(support::Clock::TimePoint Now,
       return E.Priority;
     auto Waited = std::chrono::duration_cast<std::chrono::milliseconds>(
         Now - E.Enqueued);
-    int64_t Intervals = Waited.count() / Opts.AgingInterval.count();
-    return static_cast<int64_t>(E.Priority) + Intervals * Opts.AgingStep;
+    return static_cast<int64_t>(E.Priority) +
+           Waited.count() / Opts.AgingInterval.count();
   };
   size_t Best = 0;
   int64_t BestPrio = Effective(Entries[0]);

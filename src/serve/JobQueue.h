@@ -18,7 +18,7 @@
 ///    DeadlineExceeded instead of burning minutes of optimization on a
 ///    request nobody is waiting for.
 ///  - Priority aging: with Options::AgingInterval set, an entry's
-///    effective priority grows by AgingStep per interval spent queued,
+///    effective priority grows by one per interval spent queued,
 ///    so a steady stream of high-priority work cannot starve
 ///    low-priority requests forever (the ROADMAP's aging item).
 ///
@@ -82,10 +82,9 @@ public:
     size_t Bound = 0;
     /// Deadline/aging time source; null = support::Clock::real().
     support::Clock *ClockSrc = nullptr;
-    /// Aging cadence; 0 disables aging.
+    /// Aging cadence (one priority level per interval queued); 0
+    /// disables aging.
     std::chrono::milliseconds AgingInterval{0};
-    /// Effective-priority boost per interval queued.
-    int AgingStep = 1;
   };
 
   /// \p Bound caps queued (not yet popped) tasks; 0 = unbounded.

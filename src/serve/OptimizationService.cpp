@@ -158,8 +158,7 @@ OptimizationService::OptimizationService(const gpusim::Gpu &Proto,
     : Config(std::move(C)), Prototype(Proto),
       Workers(support::ThreadPool::resolveWorkerCount(Config.Workers)),
       Clk(Config.ClockSrc ? Config.ClockSrc : &support::Clock::real()),
-      Queue(JobQueue::Options{Config.MaxQueued, Clk, Config.AgingInterval,
-                              Config.AgingStep}) {
+      Queue(JobQueue::Options{Config.MaxQueued, Clk, Config.AgingInterval}) {
   if (!Config.DeployDir.empty()) {
     Deploy = std::make_unique<triton::DeployCache>(Config.DeployDir);
     Deploy->setFaultInjector(Config.Faults);
@@ -221,94 +220,65 @@ Ticket OptimizationService::trySubmit(
   return admit(R, std::move(OnComplete), /*Blocking=*/false);
 }
 
-ResponsePtr OptimizationService::resolveLookup(const std::string &Key,
-                                               cubin::CubinFile File,
-                                               double WallMs) {
-  auto Resp = std::make_shared<OptimizeResponse>();
-  Resp->St = OptimizeResponse::Status::LookupHit;
-  Resp->Key = Key;
-  Resp->Binary = std::move(File);
-  Resp->Persisted = true; // It came from the cache, so it is in it.
-  Resp->WallMs = WallMs;
-  return Resp;
+template <typename Fn>
+bool OptimizationService::withRetry(const std::string &Key,
+                                    uint64_t ServiceStats::*Retries,
+                                    Fn &&Try) {
+  const bool Done = support::retryWithBackoff(
+      Config.Retry, *Clk, Config.Seed, fnv1a64(Key), Try, [&](unsigned) {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        ++(Counters.*Retries);
+      });
+  if (!Done) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Counters.RetryExhausted;
+  }
+  return Done;
 }
 
 std::optional<cubin::CubinFile>
 OptimizationService::loadWithRetry(const std::string &Key) {
-  if (!Deploy)
-    return std::nullopt;
-  for (unsigned Attempt = 1;; ++Attempt) {
-    if (std::optional<cubin::CubinFile> File = Deploy->load(Key))
-      return File;
-    if (!Deploy->contains(Key))
-      return std::nullopt; // Genuine miss: nothing to retry.
-    // Present but unloadable: a corrupt read (or the injector's
-    // cache-load-corrupt site). Back off and re-read.
-    if (Attempt >= Config.Retry.MaxAttempts) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Counters.RetryExhausted;
-      return std::nullopt; // Give up on the lookup: re-optimize.
-    }
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Counters.LoadRetries;
-    }
-    Clk->sleepFor(support::backoffDelay(Config.Retry, Attempt, Config.Seed,
-                                        fnv1a64(Key)));
-  }
+  std::optional<cubin::CubinFile> File;
+  if (Deploy)
+    withRetry(Key, &ServiceStats::LoadRetries, [&] {
+      // Present but unloadable is a corrupt read (or the injector's
+      // cache-load-corrupt site): back off and re-read. A genuine miss
+      // has nothing to retry.
+      File = Deploy->load(Key);
+      return File.has_value() || !Deploy->contains(Key);
+    });
+  return File;
 }
 
-void OptimizationService::resolveUnrun(const JobPtr &Job,
-                                       OptimizeResponse::Status St,
-                                       const std::string &Error) {
-  OptimizeResponse Resp;
-  Resp.St = St;
-  Resp.Key = Job->Key;
-  Resp.Error = Error;
-  Resp.WallMs = elapsedMs(*Clk, Job->Admitted);
-  finishJob(Job, std::move(Resp));
+std::optional<OptimizationService::NearHit>
+OptimizationService::loadNearest(const OptimizeRequest &R,
+                                 const std::string &Key) {
+  if (!Deploy)
+    return std::nullopt;
+  std::string NearKey;
+  {
+    std::lock_guard<std::mutex> IdxLock(IndexMutex);
+    const DeployedEntry *E = Index.nearest(R.GpuType, R.Kind, R.Shape, Key);
+    if (!E)
+      return std::nullopt;
+    NearKey = E->Key;
+  }
+  if (std::optional<cubin::CubinFile> File = Deploy->load(NearKey))
+    return NearHit{std::move(NearKey), *std::move(File)};
+  return std::nullopt;
 }
 
 Ticket OptimizationService::admit(const OptimizeRequest &R,
                                   Callback OnComplete, bool Blocking) {
   const support::Clock::TimePoint Admitted = Clk->now();
-  std::string Key = requestKey(R, Config.Defaults);
-  Ticket Tk;
-  Tk.Key = Key;
-
-  // Effective deadline: the request's own timeout, else the service
-  // default, else none. (A negative timeout yields a deadline already
-  // in the past; the queue sheds it on the first pop.)
-  std::optional<support::Clock::TimePoint> Deadline;
-  const std::chrono::milliseconds Timeout =
-      R.Timeout.count() != 0 ? R.Timeout : Config.DefaultTimeout;
-  if (Timeout.count() != 0)
-    Deadline = Admitted + Timeout;
-
-  // 1. Deploy-cache lookup (§4.2: "it invokes a lookup process instead
-  //    of training"). The load runs before any lock is taken — slow
-  //    filesystem I/O must never stall admissions or job completion —
-  //    and a miss costs one failed open. An unloadable-but-present key
-  //    (corrupt read) is retried under the service policy, then falls
-  //    through to the optimize path instead of failing the request.
+  const std::string Key = requestKey(R, Config.Defaults);
+  Ticket Tk{Admission::Rejected, Key, {}};
+  // File I/O first, never under the lock (a slow filesystem must not
+  // stall admissions or job completion): exact key, else nearest sibling.
   std::optional<cubin::CubinFile> Deployed = loadWithRetry(Key);
-
-  // Near-miss preload: on a miss, find and load the nearest deployed
-  // sibling before taking the lock (same no-I/O-under-lock rule).
-  std::optional<std::pair<std::string, cubin::CubinFile>> Near;
-  if (!Deployed && Deploy && Config.EnableNearMiss && R.AllowDegraded) {
-    std::string NearKey;
-    {
-      std::lock_guard<std::mutex> IdxLock(IndexMutex);
-      if (const DeployedEntry *E =
-              Index.nearest(R.GpuType, R.Kind, R.Shape, Key))
-        NearKey = E->Key;
-    }
-    if (!NearKey.empty())
-      if (std::optional<cubin::CubinFile> File = Deploy->load(NearKey))
-        Near.emplace(std::move(NearKey), *std::move(File));
-  }
-
+  std::optional<NearHit> Near;
+  if (!Deployed && R.AllowDegraded)
+    Near = loadNearest(R, Key);
   std::unique_lock<std::mutex> Lock(Mutex);
   if (!Accepting) {
     ++Counters.Rejected;
@@ -317,177 +287,159 @@ Ticket OptimizationService::admit(const OptimizeRequest &R,
                                  elapsedMs(*Clk, Admitted));
     return Tk;
   }
-
+  ++Counters.Submitted;
+  // 1. Lookup hit (§4.2: "a lookup process instead of training").
   if (Deployed) {
-    // The request stays Outstanding until its callback returned, so
-    // drain() and shutdown() never outrun a hit callback either.
-    ++Counters.Submitted;
     ++Counters.LookupHits;
     ++Outstanding;
     Lock.unlock();
-    ResponsePtr Resp =
-        resolveLookup(Key, *std::move(Deployed), elapsedMs(*Clk, Admitted));
-    if (OnComplete)
-      invokeGuarded(OnComplete, *Resp);
-    {
-      std::lock_guard<std::mutex> StatLock(Mutex);
-      --Outstanding;
-      Quiesced.notify_all();
-    }
-    Tk.How = Admission::LookupHit;
-    Tk.Response = readyFuture(std::move(Resp));
+    serveNow(Tk, *std::move(Deployed), "", Admitted, OnComplete);
     return Tk;
   }
-
-  // 2. Single-flight attach: an identical key is already queued or
-  //    running — share its job instead of re-optimizing (the service-
-  //    level mirror of the Autotuner/MeasurementCache single-run-per-
-  //    key guarantee). Attaching beats degrading: the exact answer is
-  //    already on its way.
-  auto It = InFlight.find(Key);
-  if (It != InFlight.end()) {
-    JobPtr Job = It->second;
+  // 2. Attach to the queued or running job for the same key. Attaching
+  //    beats degrading: the exact answer is already on its way.
+  if (auto It = InFlight.find(Key); It != InFlight.end()) {
     if (OnComplete)
-      Job->Callbacks.push_back(std::move(OnComplete));
-    ++Counters.Submitted;
+      It->second->Callbacks.push_back(std::move(OnComplete));
     ++Counters.Merged;
     Tk.How = Admission::Attached;
-    Tk.Response = Job->Future;
+    Tk.Response = It->second->Future;
     return Tk;
   }
+  // A new job: a degraded answer's upgrade, or the submitter's own.
+  const bool OwnCallback = OnComplete && !Near;
+  JobPtr Job = registerJob(R, Key, Admitted, Near.has_value(),
+                           OwnCallback ? OnComplete : Callback());
+  Lock.unlock();
+  const bool Pushed = enqueue(Job, Blocking);
+  const char *Why =
+      Blocking ? "service shut down during admission" : "queue full";
+  if (!Pushed)
+    abandonUnqueued(Job, OwnCallback, Why);
+  // 3. Degrade: the nearest sibling answers now (a failed push loses
+  //    only the background upgrade).
+  if (Near) {
+    serveNow(Tk, std::move(Near->second), std::move(Near->first), Admitted,
+             OnComplete);
+    return Tk;
+  }
+  // 4. Enqueue: the submitter waits on the job.
+  Tk.How = Pushed ? Admission::Enqueued : Admission::Rejected;
+  Tk.Response = Pushed ? Job->Future
+                       : rejectedFuture(Key, Why, elapsedMs(*Clk, Admitted));
+  return Tk;
+}
 
-  // 3./4. A new job either way. A near-miss serves the nearest
-  // deployed sibling to the submitter right now and runs the exact-
-  // shape job in the background; otherwise the submitter waits on the
-  // job itself.
+void OptimizationService::serveNow(Ticket &Tk, cubin::CubinFile File,
+                                   std::string DegradedFrom,
+                                   support::Clock::TimePoint Admitted,
+                                   const Callback &OnComplete) {
+  auto Resp = std::make_shared<OptimizeResponse>();
+  const bool Exact = DegradedFrom.empty();
+  Resp->St = Exact ? OptimizeResponse::Status::LookupHit
+                   : OptimizeResponse::Status::Degraded;
+  Resp->Key = Tk.Key;
+  Resp->Binary = std::move(File);
+  // A hit came from the cache, so it is in it; a degraded answer's
+  // exact key is not deployed (yet).
+  Resp->Persisted = Exact;
+  Resp->DegradedFrom = std::move(DegradedFrom);
+  Resp->WallMs = elapsedMs(*Clk, Admitted);
+  if (OnComplete)
+    invokeGuarded(OnComplete, *Resp);
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    --Outstanding;
+    Quiesced.notify_all();
+  }
+  Tk.How = Exact ? Admission::LookupHit : Admission::NearMiss;
+  Tk.Response = readyFuture(std::move(Resp));
+}
+
+OptimizationService::JobPtr OptimizationService::registerJob(
+    const OptimizeRequest &R, const std::string &Key,
+    support::Clock::TimePoint Admitted, bool Background,
+    Callback OwnCallback) {
   auto Job = std::make_shared<JobState>();
   Job->Request = R;
   Job->Key = Key;
   Job->Admitted = Admitted;
-  Job->Background = Near.has_value();
-  if (!Job->Background) {
-    // A background upgrade carries no deadline: its submitter already
-    // holds the degraded answer, so the upgrade should land no matter
-    // how long it takes.
-    Job->Deadline = Deadline;
-    if (Deadline)
-      Job->Cancel.setDeadline(*Clk, *Deadline);
+  Job->Background = Background;
+  // A background upgrade carries no deadline: its submitter already
+  // holds the degraded answer, so the upgrade should land no matter how
+  // long it takes. (A negative timeout yields a deadline already in the
+  // past; the queue sheds it on the first pop.)
+  if (!Background && R.Timeout.count() != 0) {
+    Job->Deadline = Admitted + R.Timeout;
+    Job->Cancel.setDeadline(*Clk, *Job->Deadline);
   }
   Job->Future = Job->Promise.get_future().share();
-  const bool HasOwnCallback =
-      static_cast<bool>(OnComplete) && !Job->Background;
-  if (HasOwnCallback)
-    Job->Callbacks.push_back(OnComplete);
+  if (OwnCallback)
+    Job->Callbacks.push_back(std::move(OwnCallback));
   InFlight.emplace(Key, Job);
   ++Outstanding;
-  ++Counters.Submitted;
   ++Counters.Enqueued;
   ++Counters.QueuedNow;
-  if (Job->Background) {
+  if (Background) {
     ++Counters.DegradedHits;
-    ++Outstanding; // Once more, for the degraded answer's window below.
+    ++Outstanding; // Once more, for the degraded answer's window.
   }
-  Lock.unlock();
+  return Job;
+}
 
+bool OptimizationService::enqueue(const JobPtr &Job, bool Blocking) {
   // The push happens outside the service lock: a blocking push parks
   // this thread until a worker pops (backpressure), and holding the
   // lock there would deadlock the workers' finishJob().
   JobQueue::Task Task = [this, Job](TaskFate Fate) {
-    switch (Fate) {
-    case TaskFate::Run:
-      runJob(Job);
-      break;
-    case TaskFate::Cancelled:
-      resolveUnrun(Job, OptimizeResponse::Status::Cancelled,
-                   "service shut down before the job ran");
-      break;
-    case TaskFate::Expired:
-      resolveUnrun(Job, OptimizeResponse::Status::DeadlineExceeded,
-                   "deadline expired before the job started");
-      break;
-    }
-  };
-  bool Pushed = Blocking ? Queue.push(Task, R.Priority, Job->Deadline)
-                         : Queue.tryPush(Task, R.Priority, Job->Deadline);
-
-  if (Job->Background) {
-    if (!Pushed) {
-      // Queue full or racing shutdown: the degraded answer still
-      // serves (that is the whole point of degradation under
-      // pressure); only the background upgrade is abandoned. Resolve
-      // its future as Cancelled for any attacher that slipped in.
-      OptimizeResponse Bg;
-      Bg.St = OptimizeResponse::Status::Cancelled;
-      Bg.Key = Key;
-      Bg.Error =
-          Blocking ? "service shut down during admission" : "queue full";
-      Bg.WallMs = elapsedMs(*Clk, Admitted);
-      std::vector<Callback> Cbs;
-      {
-        std::lock_guard<std::mutex> StatLock(Mutex);
-        InFlight.erase(Key);
-        Cbs = std::move(Job->Callbacks);
-        --Counters.QueuedNow;
-        --Counters.Enqueued;
-      }
-      publish(Job, std::make_shared<const OptimizeResponse>(std::move(Bg)),
-              std::move(Cbs));
-    }
-    auto Resp = std::make_shared<OptimizeResponse>();
-    Resp->St = OptimizeResponse::Status::Degraded;
-    Resp->Key = Key;
-    Resp->Binary = std::move(Near->second);
-    Resp->DegradedFrom = std::move(Near->first);
-    Resp->Persisted = false; // The exact key is not deployed (yet).
-    Resp->WallMs = elapsedMs(*Clk, Admitted);
-    ResponsePtr Shared = std::move(Resp);
-    if (OnComplete)
-      invokeGuarded(OnComplete, *Shared);
-    {
-      std::lock_guard<std::mutex> StatLock(Mutex);
-      --Outstanding;
-      Quiesced.notify_all();
-    }
-    Tk.How = Admission::NearMiss;
-    Tk.Response = readyFuture(std::move(Shared));
-    return Tk;
-  }
-
-  if (!Pushed) {
-    // Queue full (trySubmit) or closed by a racing shutdown. The job
-    // was visible for attaching for a moment, so resolve its future
-    // as Cancelled for any attacher — but not for the submitter, who
-    // learns the outcome from the Rejected ticket (a rejected
-    // admission never fires the submitter's own callback).
+    if (Fate == TaskFate::Run)
+      return runJob(Job);
+    // Shed from the queue or cancelled by shutdown: resolve unrun.
+    const bool Shed = Fate == TaskFate::Expired;
     OptimizeResponse Resp;
-    Resp.St = OptimizeResponse::Status::Cancelled;
-    Resp.Error =
-        Blocking ? "service shut down during admission" : "queue full";
-    Resp.Key = Key;
-    Resp.WallMs = elapsedMs(*Clk, Admitted);
-    std::vector<Callback> Cbs;
-    {
-      std::lock_guard<std::mutex> StatLock(Mutex);
-      InFlight.erase(Key);
-      Cbs = std::move(Job->Callbacks);
-      if (HasOwnCallback) // (A copy of OnComplete went in first.)
-        Cbs.erase(Cbs.begin());
-      --Counters.QueuedNow;
+    Resp.St = Shed ? OptimizeResponse::Status::DeadlineExceeded
+                   : OptimizeResponse::Status::Cancelled;
+    Resp.Key = Job->Key;
+    Resp.Error = Shed ? "deadline expired before the job started"
+                      : "service shut down before the job ran";
+    Resp.WallMs = elapsedMs(*Clk, Job->Admitted);
+    finishJob(Job, std::move(Resp));
+  };
+  const int Priority = Job->Request.Priority;
+  return Blocking ? Queue.push(std::move(Task), Priority, Job->Deadline)
+                  : Queue.tryPush(std::move(Task), Priority, Job->Deadline);
+}
+
+void OptimizationService::abandonUnqueued(const JobPtr &Job,
+                                          bool OwnCallback,
+                                          const std::string &Why) {
+  // The job was visible for attaching for a moment, so its future
+  // resolves as Cancelled for any attacher — but not for its submitter:
+  // a foreground submitter learns the outcome from the Rejected ticket
+  // (a rejected admission never fires its own callback, whose copy went
+  // in first), and a background job's submitter holds its degraded
+  // answer, which still counts as admitted.
+  OptimizeResponse Resp;
+  Resp.St = OptimizeResponse::Status::Cancelled;
+  Resp.Key = Job->Key;
+  Resp.Error = Why;
+  Resp.WallMs = elapsedMs(*Clk, Job->Admitted);
+  std::vector<Callback> Cbs;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    InFlight.erase(Job->Key);
+    Cbs = std::move(Job->Callbacks);
+    if (OwnCallback)
+      Cbs.erase(Cbs.begin());
+    --Counters.QueuedNow;
+    --Counters.Enqueued;
+    if (!Job->Background) {
       --Counters.Submitted;
-      --Counters.Enqueued;
       ++Counters.Rejected;
     }
-    publish(Job, std::make_shared<const OptimizeResponse>(std::move(Resp)),
-            std::move(Cbs));
-    Tk.How = Admission::Rejected;
-    Tk.Response = rejectedFuture(
-        Key, Blocking ? "service shut down during admission" : "queue full",
-        elapsedMs(*Clk, Admitted));
-    return Tk;
   }
-  Tk.How = Admission::Enqueued;
-  Tk.Response = Job->Future;
-  return Tk;
+  publish(Job, std::make_shared<const OptimizeResponse>(std::move(Resp)),
+          std::move(Cbs));
 }
 
 void OptimizationService::runJob(const JobPtr &Job) {
@@ -497,198 +449,155 @@ void OptimizationService::runJob(const JobPtr &Job) {
     ++Counters.RunningNow;
     Job->Running = true;
   }
-
-  const std::string &Key = Job->Key;
-  support::FaultInjector *Faults = Config.Faults;
   OptimizeResponse Resp;
-  Resp.Key = Key;
-  // Claim bookkeeping spans the retry loop: a transient retry re-runs
-  // the try body but must neither re-claim a key it already holds nor
-  // re-count the optimize run.
+  Resp.Key = Job->Key;
   bool Claimed = false;
-  bool RunCounted = false;
   // The whole job body — optimizer construction included — runs under
-  // the try: anything a job throws becomes a Failed response on that
-  // key only, never a dead worker (the ThreadPool submit() contract)
-  // and never a stuck single-flight entry.
-  for (unsigned Attempt = 1;; ++Attempt) {
-    try {
-      // Cross-process single-flight first: claim the key, or adopt
-      // the winner another process deployed while we waited on its
-      // claim — an adopted job is a lookup, not an optimize run.
-      if (claimsActive() && !Claimed) {
-        if (!acquireClaimOrAdopt(Job, Resp))
-          break; // Resp is a LookupHit on the other process's cubin.
-        Claimed = true;
-      }
-      if (!RunCounted) {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        ++Counters.OptimizeRuns;
-        RunCounted = true;
-      }
-      if (Faults) {
-        // Injected slowness next: a planned delay models a job that
-        // outlives its deadline — which the checkpoint right after
-        // then trips, at any worker count, because the job's own
-        // sleep is what moves the (fake) clock past its deadline.
-        if (uint64_t Delay = Faults->delayMs("job-slow:" + Key))
-          Clk->sleepFor(std::chrono::milliseconds(Delay));
-      }
-      Job->Cancel.checkpoint();
-      if (Faults) {
-        if (Faults->shouldFail("job-transient:" + Key))
-          throw support::TransientError("injected transient job fault");
-        if (Faults->shouldFail("job-throw:" + Key))
-          throw std::runtime_error("injected job fault");
-      }
-
-      // The determinism contract: a private pristine device per job
-      // and a data stream derived purely from (service seed, request
-      // key) — the response never depends on which worker ran the
-      // job, what ran before it, or how many workers exist. Warm
-      // starts add the policy-store contents at job start to that
-      // function (see ServiceConfig::PolicyDir).
-      const core::OptimizeConfig &EffConfig =
-          Job->Request.Config ? *Job->Request.Config : Config.Defaults;
-      const core::Optimizer Opt(EffConfig);
-      gpusim::Gpu Local(Prototype);
-      Rng DataRng(mixSeed(Config.Seed, fnv1a64(Key)));
-
-      // Warm start: the stored policy for this exact key (e.g. the
-      // cubin store failed last time, or the key was trained under
-      // PersistPolicies on another instance), else the nearest trained
-      // shape of the same (GpuType, kind).
-      std::optional<std::string> WarmBlob;
-      std::string WarmKey;
-      if (Policies) {
-        if ((WarmBlob = Policies->load(Key)))
-          WarmKey = Key;
-        else
-          WarmBlob = Policies->nearest(Job->Request.GpuType,
-                                       Job->Request.Kind,
-                                       Job->Request.Shape, Key, &WarmKey);
-      }
-
-      core::OptimizeResult Result = Opt.optimize(
-          Local, Job->Request.Kind, Job->Request.Shape, DataRng,
-          &Job->Cancel, WarmBlob ? &*WarmBlob : nullptr,
-          Job->Request.GpuType);
-      Resp.St = OptimizeResponse::Status::Optimized;
-      Resp.Result = std::move(Result);
-      Resp.Binary = Resp.Result.Kernel.Binary;
-      if (Resp.Result.WarmStartTensors > 0)
-        Resp.WarmStartedFrom = std::move(WarmKey);
-      break;
-    } catch (const support::CancelledError &) {
-      Resp.St = OptimizeResponse::Status::DeadlineExceeded;
-      Resp.Error = "deadline exceeded (cancelled at a checkpoint)";
-      break;
-    } catch (const support::TransientError &E) {
-      if (Attempt >= Config.Retry.MaxAttempts) {
-        {
-          std::lock_guard<std::mutex> Lock(Mutex);
-          ++Counters.RetryExhausted;
-        }
-        Resp.St = OptimizeResponse::Status::Failed;
-        Resp.Error =
-            std::string("transient failure, retries exhausted: ") + E.what();
-        break;
-      }
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        ++Counters.JobRetries;
-      }
-      Clk->sleepFor(support::backoffDelay(Config.Retry, Attempt,
-                                          Config.Seed, fnv1a64(Key)));
-    } catch (const std::exception &E) {
-      Resp.St = OptimizeResponse::Status::Failed;
-      Resp.Error = E.what();
-      break;
-    } catch (...) {
-      Resp.St = OptimizeResponse::Status::Failed;
-      Resp.Error = "unknown exception";
-      break;
-    }
+  // the try: anything a job throws becomes a response on that key only,
+  // never a dead worker (the ThreadPool submit() contract) and never a
+  // stuck single-flight entry.
+  try {
+    // Cross-process single-flight first: claim the key, or adopt the
+    // winner another process deployed while we waited on its claim —
+    // an adopted job is a lookup, not an optimize run.
+    if (claimsActive())
+      Claimed = acquireClaimOrAdopt(Job, Resp);
+    if (Claimed || !claimsActive())
+      optimizeWithRetry(*Job, Resp);
+  } catch (const support::CancelledError &) {
+    Resp.St = OptimizeResponse::Status::DeadlineExceeded;
+    Resp.Error = "deadline exceeded (cancelled at a checkpoint)";
+  } catch (const std::exception &E) {
+    Resp.St = OptimizeResponse::Status::Failed;
+    Resp.Error = E.what();
+  } catch (...) {
+    Resp.St = OptimizeResponse::Status::Failed;
+    Resp.Error = "unknown exception";
   }
-
-  // §4.2 write-back: only a verified winner is deployable. Store
-  // failures retry under the service policy; a final failure is
-  // surfaced (Persisted stays false, stats count it) — never silently
-  // dropped.
-  if (Resp.St == OptimizeResponse::Status::Optimized && Deploy &&
-      Resp.Result.AutotuneValid && Resp.Result.Verified) {
-    for (unsigned Attempt = 1;; ++Attempt) {
-      if (Deploy->store(Key, Resp.Binary)) {
-        Resp.Persisted = true;
-        break;
-      }
-      if (Attempt >= Config.Retry.MaxAttempts) {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        ++Counters.RetryExhausted;
-        break;
-      }
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        ++Counters.StoreRetries;
-      }
-      Clk->sleepFor(support::backoffDelay(Config.Retry, Attempt,
-                                          Config.Seed, fnv1a64(Key)));
-    }
-    if (Resp.Persisted) {
-      // Publish the shape sidecar so this key can serve future
-      // near-miss lookups (and survive a service restart).
-      DeployedEntry Entry;
-      Entry.GpuType = Job->Request.GpuType;
-      Entry.Kind = Job->Request.Kind;
-      Entry.Shape = Job->Request.Shape;
-      Entry.Key = Key;
-      Deploy->storeMeta(Key, encodeDeployMeta(Entry));
-      std::lock_guard<std::mutex> IdxLock(IndexMutex);
-      Index.add(std::move(Entry));
-    } else {
-      logWarn("OptimizationService: failed to persist winner for key '" +
-              Key + "'");
-    }
-  }
-
-  // Policy write-back: every successfully trained policy is a future
-  // warm-start source — even when the schedule failed verification
-  // (the policy's quality is independent of one schedule's
-  // probabilistic test).
-  if (Resp.St == OptimizeResponse::Status::Optimized && Policies &&
-      Config.PersistPolicies && Resp.Result.AutotuneValid &&
-      !Resp.Result.PolicyBlob.empty()) {
-    DeployedEntry Entry;
-    Entry.GpuType = Job->Request.GpuType;
-    Entry.Kind = Job->Request.Kind;
-    Entry.Shape = Job->Request.Shape;
-    Entry.Key = Key;
-    const bool Stored = Policies->store(Key, Resp.Result.PolicyBlob, Entry);
-    if (!Stored)
-      logWarn("OptimizationService: failed to persist policy for key '" +
-              Key + "'");
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Stored)
-      ++Counters.PolicyStores;
-    else
-      ++Counters.PolicyStoreFailures;
-  }
-
-  if (Resp.St == OptimizeResponse::Status::Optimized &&
-      Resp.Result.WarmStartTensors > 0) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Counters.WarmStarts;
-    Counters.WarmStartTensors += Resp.Result.WarmStartTensors;
-  }
-
+  if (Resp.St == OptimizeResponse::Status::Optimized)
+    persist(*Job, Resp);
   // The claim releases only after the persist attempt: a waiter that
   // sees it clear must find either the deployed cubin (adopt) or no
   // claim at all (re-claim and optimize itself).
   if (Claimed)
-    releaseClaim(claimPathFor(Key));
-
+    releaseClaim(claimPathFor(Job->Key));
   Resp.WallMs = elapsedMs(*Clk, Job->Admitted);
   finishJob(Job, std::move(Resp));
+}
+
+std::optional<std::string>
+OptimizationService::warmStart(const JobState &Job,
+                               std::string &FromKey) const {
+  // The stored policy for this exact key (e.g. the cubin store failed
+  // last time, or the key was trained under PersistPolicies on another
+  // instance), else the nearest trained shape of the same (GpuType,
+  // kind).
+  if (!Policies)
+    return std::nullopt;
+  if (std::optional<std::string> Blob = Policies->load(Job.Key)) {
+    FromKey = Job.Key;
+    return Blob;
+  }
+  return Policies->nearest(Job.Request.GpuType, Job.Request.Kind,
+                           Job.Request.Shape, Job.Key, &FromKey);
+}
+
+void OptimizationService::optimizeWithRetry(const JobState &Job,
+                                            OptimizeResponse &Resp) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Counters.OptimizeRuns;
+  }
+  // Only a TransientError retries; any other throw ends the job.
+  std::string Transient;
+  if (!withRetry(Job.Key, &ServiceStats::JobRetries, [&] {
+        try {
+          optimize(Job, Resp);
+          return true;
+        } catch (const support::TransientError &E) {
+          Transient = E.what();
+          return false;
+        }
+      }))
+    throw std::runtime_error("transient failure, retries exhausted: " +
+                             Transient);
+}
+
+void OptimizationService::optimize(const JobState &Job,
+                                   OptimizeResponse &Resp) {
+  const std::string &Key = Job.Key;
+  support::FaultInjector *Faults = Config.Faults;
+  // Injected slowness first: a planned delay models a job that outlives
+  // its deadline — which the checkpoint right after then trips, at any
+  // worker count, because the job's own sleep is what moves the (fake)
+  // clock past its deadline.
+  if (Faults)
+    if (uint64_t Delay = Faults->delayMs("job-slow:" + Key))
+      Clk->sleepFor(std::chrono::milliseconds(Delay));
+  Job.Cancel.checkpoint();
+  if (Faults && Faults->shouldFail("job-transient:" + Key))
+    throw support::TransientError("injected transient job fault");
+  if (Faults && Faults->shouldFail("job-throw:" + Key))
+    throw std::runtime_error("injected job fault");
+
+  // The determinism contract: a private pristine device per job and a
+  // data stream derived purely from (service seed, request key) — the
+  // response never depends on which worker ran the job, what ran before
+  // it, or how many workers exist. Warm starts add the policy-store
+  // contents at job start to that function (see ServiceConfig::PolicyDir).
+  const core::Optimizer Opt(Job.Request.Config ? *Job.Request.Config
+                                               : Config.Defaults);
+  gpusim::Gpu Local(Prototype);
+  Rng DataRng(mixSeed(Config.Seed, fnv1a64(Key)));
+  std::string WarmKey;
+  std::optional<std::string> WarmBlob = warmStart(Job, WarmKey);
+  Resp.Result = Opt.optimize(Local, Job.Request.Kind, Job.Request.Shape,
+                             DataRng, &Job.Cancel,
+                             WarmBlob ? &*WarmBlob : nullptr,
+                             Job.Request.GpuType);
+  Resp.St = OptimizeResponse::Status::Optimized;
+  Resp.Binary = Resp.Result.Kernel.Binary;
+  if (Resp.Result.WarmStartTensors > 0)
+    Resp.WarmStartedFrom = std::move(WarmKey);
+}
+
+void OptimizationService::persist(const JobState &Job,
+                                  OptimizeResponse &Resp) {
+  const core::OptimizeResult &Result = Resp.Result;
+  const DeployedEntry Entry{Job.Request.GpuType, Job.Request.Kind,
+                            Job.Request.Shape, Job.Key};
+  // §4.2 write-back: only a verified winner is deployable. Store
+  // failures retry under the service policy; a final failure is
+  // surfaced (Persisted stays false, stats count it) — never silently
+  // dropped.
+  if (Deploy && Result.AutotuneValid && Result.Verified) {
+    Resp.Persisted = withRetry(Job.Key, &ServiceStats::StoreRetries, [&] {
+      return Deploy->store(Job.Key, Resp.Binary);
+    });
+    if (Resp.Persisted) {
+      // Publish the shape sidecar so this key can serve future
+      // near-miss lookups (and survive a service restart).
+      Deploy->storeMeta(Job.Key, encodeDeployMeta(Entry));
+      std::lock_guard<std::mutex> IdxLock(IndexMutex);
+      Index.add(Entry);
+    } else {
+      logWarn("OptimizationService: failed to persist winner for key '" +
+              Job.Key + "'");
+    }
+  }
+  // Policy write-back: every successfully trained policy is a future
+  // warm-start source — even when the schedule failed verification
+  // (the policy's quality is independent of one schedule's
+  // probabilistic test).
+  if (Policies && Config.PersistPolicies && Result.AutotuneValid &&
+      !Result.PolicyBlob.empty()) {
+    const bool Stored = Policies->store(Job.Key, Result.PolicyBlob, Entry);
+    if (!Stored)
+      logWarn("OptimizationService: failed to persist policy for key '" +
+              Job.Key + "'");
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++(Stored ? Counters.PolicyStores : Counters.PolicyStoreFailures);
+  }
 }
 
 std::string
@@ -749,11 +658,8 @@ void OptimizationService::releaseClaim(const std::string &Path) {
 }
 
 void OptimizationService::heartbeatLoop() {
-  std::chrono::milliseconds Interval = Config.ClaimHeartbeat.count() > 0
-                                           ? Config.ClaimHeartbeat
-                                           : Config.ClaimStaleAfter / 4;
-  if (Interval.count() <= 0)
-    Interval = std::chrono::milliseconds(1);
+  const std::chrono::milliseconds Interval =
+      std::max(Config.ClaimStaleAfter / 4, std::chrono::milliseconds(1));
   std::unique_lock<std::mutex> Lock(ClaimMutex);
   while (!StopHeartbeat) {
     ClaimCv.wait_for(Lock, Interval, [this] { return StopHeartbeat; });
@@ -800,6 +706,10 @@ void OptimizationService::finishJob(const JobPtr &Job, OptimizeResponse R) {
       ++Counters.Completed;
       Counters.TrainingUpdates += Resp->Result.Training.size();
       Counters.Counters += Resp->Result.RolloutCounters;
+      if (Resp->Result.WarmStartTensors > 0) {
+        ++Counters.WarmStarts;
+        Counters.WarmStartTensors += Resp->Result.WarmStartTensors;
+      }
       if (Resp->Persisted) {
         ++Counters.PersistStores;
         if (Job->Background)

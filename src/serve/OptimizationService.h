@@ -13,13 +13,14 @@
 ///   1. Lookup hit: the request key is already in the DeployCache →
 ///      the stored cubin is returned immediately, zero training.
 ///   2. Attach: an identical key is already queued or running → the
-///      request joins that job (single-flight; mirrors the
-///      single-sweep-per-key guarantee of MeasurementCache and
+///      request joins that job (single-flight, the service-level mirror
+///      of the support::SingleFlight caches under MeasurementCache and
 ///      Autotuner) and shares its response.
-///   3. Near miss (optional): the key misses but another shape of the
-///      same (GpuType, kind) is deployed → the nearest one is served
-///      immediately as Status::Degraded while the exact-shape job runs
-///      in the background and upgrades the cache.
+///   3. Near miss (unless the request opts out via AllowDegraded): the
+///      key misses but another shape of the same (GpuType, kind) is
+///      deployed → the nearest one is served immediately as
+///      Status::Degraded while the exact-shape job runs in the
+///      background and upgrades the cache.
 ///   4. Enqueue: a full hierarchical Optimizer::optimize() job enters
 ///      the bounded priority queue; a worker drives it and the
 ///      verified winner is persisted back through the DeployCache so
@@ -31,9 +32,9 @@
 /// cooperative checkpoints (per autotune candidate, per rollout slot,
 /// per PPO epoch), both resolving as Status::DeadlineExceeded.
 /// Transient cache-store/load failures and TransientError jobs are
-/// retried under ServiceConfig::Retry with seeded-jittered exponential
-/// backoff. A job that throws resolves that key's response (submitter
-/// AND attached waiters) as Status::Failed — never a dead worker,
+/// retried under ServiceConfig::Retry (support::retryWithBackoff). A
+/// job that throws resolves that key's response (submitter AND attached
+/// waiters) as Status::Failed — never a dead worker,
 /// never a stuck single-flight key. Every such event lands in a
 /// ServiceStats counter.
 ///
@@ -96,11 +97,10 @@ struct OptimizeRequest {
   /// Higher pops first; FIFO within one priority. An attaching
   /// duplicate inherits the original job's priority.
   int Priority = 0;
-  /// Per-request deadline measured from admission; 0 = none (then
-  /// ServiceConfig::DefaultTimeout applies). A request whose deadline
-  /// passes resolves as Status::DeadlineExceeded: shed from the queue
-  /// if it never started, cancelled at the next cooperative checkpoint
-  /// if mid-job.
+  /// Per-request deadline measured from admission; 0 = none. A request
+  /// whose deadline passes resolves as Status::DeadlineExceeded: shed
+  /// from the queue if it never started, cancelled at the next
+  /// cooperative checkpoint if mid-job.
   std::chrono::milliseconds Timeout{0};
   /// Opt-out of near-miss degradation for this request: when false, a
   /// cache miss always waits for the exact-shape job.
@@ -286,13 +286,9 @@ struct ServiceConfig {
   /// DeployCache; null disables every site. Not owned; must outlive
   /// the service.
   support::FaultInjector *Faults = nullptr;
-  /// Backoff policy shared by the store/load/transient-job retry loops.
+  /// Backoff policy of the store, load and transient-job retries (all
+  /// run by support::retryWithBackoff).
   support::RetryPolicy Retry;
-  /// Deadline applied to requests whose Timeout is 0; 0 = none.
-  std::chrono::milliseconds DefaultTimeout{0};
-  /// Master switch for near-miss degradation (per-request opt-out via
-  /// OptimizeRequest::AllowDegraded).
-  bool EnableNearMiss = true;
   /// Policy-checkpoint directory; empty disables warm starts entirely.
   /// When set, a cache-miss job initializes training from the stored
   /// policy nearest its shape (same GpuType and kind; its own key's
@@ -310,11 +306,10 @@ struct ServiceConfig {
   /// so later near-shape jobs warm-start from it. Turn off to serve
   /// from a fixed pre-trained shelf (bit-deterministic responses).
   bool PersistPolicies = true;
-  /// Queue-aging knobs (see JobQueue::Options): every AgingInterval of
-  /// wait raises a queued job's effective priority by AgingStep, so
-  /// low-priority work cannot starve behind a hot key. 0 disables.
+  /// Queue aging (see JobQueue::Options): every AgingInterval of wait
+  /// raises a queued job's effective priority by one, so low-priority
+  /// work cannot starve behind a hot key. 0 disables.
   std::chrono::milliseconds AgingInterval{0};
-  int AgingStep = 1;
   /// Cross-process single-flight over a shared DeployDir: before
   /// running a cache-miss job, the worker claims
   /// `<DeployDir>/.claims/<key>.lock` (support::FileLock). Losing the
@@ -322,17 +317,15 @@ struct ServiceConfig {
   /// worker waits for that claim to clear and serves the winner's
   /// deployed cubin instead of duplicating the job. Requires a
   /// DeployDir; off by default (in-process single-flight needs no
-  /// files). Claim heartbeats are wall-clock file mtimes, so staleness
-  /// runs on real time even under a FakeClock (see FileLock.h).
+  /// files). Held claims are heartbeated every ClaimStaleAfter / 4;
+  /// heartbeats are wall-clock file mtimes, so staleness runs on real
+  /// time even under a FakeClock (see FileLock.h).
   bool CrossProcessClaims = false;
   /// A claim whose heartbeat is older than this is presumed abandoned
   /// (crashed owner) and broken by the next waiter.
   std::chrono::milliseconds ClaimStaleAfter{10000};
   /// Waiter poll cadence while another process holds a claim.
   std::chrono::milliseconds ClaimPollInterval{20};
-  /// Heartbeat cadence for claims this service holds; 0 derives
-  /// ClaimStaleAfter / 4.
-  std::chrono::milliseconds ClaimHeartbeat{0};
 };
 
 /// The optimization server.
@@ -401,8 +394,8 @@ private:
     OptimizeRequest Request;
     std::string Key;
     support::Clock::TimePoint Admitted;
-    /// Absolute deadline (from Timeout or DefaultTimeout); nullopt =
-    /// none. Mirrored into Cancel and the queue entry.
+    /// Absolute deadline (from the request's Timeout); nullopt = none.
+    /// Mirrored into Cancel and the queue entry.
     std::optional<support::Clock::TimePoint> Deadline;
     /// Cooperative cancellation handle threaded through the Optimizer;
     /// armed (deadline set) before the job is shared with the queue.
@@ -418,14 +411,41 @@ private:
   };
   using JobPtr = std::shared_ptr<JobState>;
 
+  /// The nearest deployed sibling of a missed key: (its key, its cubin).
+  using NearHit = std::pair<std::string, cubin::CubinFile>;
+
+  /// The front door: lookup, then attach, then degrade, then enqueue.
   Ticket admit(const OptimizeRequest &R, Callback OnComplete,
                bool Blocking);
+  std::optional<NearHit> loadNearest(const OptimizeRequest &R,
+                                     const std::string &Key);
+  /// Answers with a deployed cubin now: the exact key's (lookup hit),
+  /// or its nearest sibling \p DegradedFrom's (degraded answer).
+  void serveNow(Ticket &Tk, cubin::CubinFile File, std::string DegradedFrom,
+                support::Clock::TimePoint Admitted,
+                const Callback &OnComplete);
+  /// Creates a job and makes it attachable; caller holds Mutex.
+  JobPtr registerJob(const OptimizeRequest &R, const std::string &Key,
+                     support::Clock::TimePoint Admitted, bool Background,
+                     Callback OwnCallback);
+  bool enqueue(const JobPtr &Job, bool Blocking);
+  /// Undoes registerJob() for a job whose push failed.
+  void abandonUnqueued(const JobPtr &Job, bool OwnCallback,
+                       const std::string &Why);
+
   void workerLoop();
+  /// A popped job: claim, then warm-start and optimize, then persist.
   void runJob(const JobPtr &Job);
-  /// Resolves \p Job without running it (queue shed / shutdown):
-  /// builds a response of \p St and routes it through finishJob.
-  void resolveUnrun(const JobPtr &Job, OptimizeResponse::Status St,
-                    const std::string &Error);
+  void optimizeWithRetry(const JobState &Job, OptimizeResponse &Resp);
+  void optimize(const JobState &Job, OptimizeResponse &Resp);
+  std::optional<std::string> warmStart(const JobState &Job,
+                                       std::string &FromKey) const;
+  void persist(const JobState &Job, OptimizeResponse &Resp);
+  /// Runs \p Try under ServiceConfig::Retry, counting each retry in
+  /// \p Retries and an exhausted loop in RetryExhausted.
+  template <typename Fn>
+  bool withRetry(const std::string &Key, uint64_t ServiceStats::*Retries,
+                 Fn &&Try);
   /// Exact-key load with corrupt-retry: backs off and re-reads while
   /// load() fails but the key is present (deserialize failure — the
   /// injector's cache-load-corrupt site). nullopt = genuine miss or
@@ -439,10 +459,6 @@ private:
   /// being Outstanding only after the last callback returned.
   void publish(const JobPtr &Job, ResponsePtr Resp,
                std::vector<Callback> Cbs);
-  /// \p File by value: the hit path moves the freshly loaded cubin
-  /// straight into the response (no second deep copy).
-  ResponsePtr resolveLookup(const std::string &Key, cubin::CubinFile File,
-                            double WallMs);
 
   /// Cross-process claims (ServiceConfig::CrossProcessClaims).
   bool claimsActive() const {
@@ -478,6 +494,9 @@ private:
   mutable std::mutex Mutex;
   std::mutex ShutdownMutex; ///< Serializes concurrent shutdown() calls.
   std::condition_variable Quiesced; ///< Signals drain()/shutdown().
+  /// Attach points, one per queued or running key. A plain map under
+  /// Mutex rather than a support::SingleFlight: entries die at publish,
+  /// and the same lock guards Accepting, Outstanding and the counters.
   std::unordered_map<std::string, JobPtr> InFlight;
   /// Jobs admitted whose futures/callbacks have not yet fully
   /// resolved. InFlight empties when a job's result is decided;

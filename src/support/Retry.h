@@ -6,18 +6,21 @@
 ///
 /// \file
 /// The retry policy the serving layer applies to transient failures:
-/// capped exponential backoff with deterministic jitter. The jitter
-/// factor is a pure function of (Seed, key hash, attempt) via the same
-/// mixSeed derivation every other seeded subsystem uses, so a retry
-/// schedule is bit-reproducible — two runs of the same fault schedule
-/// sleep the same milliseconds — while distinct keys still de-correlate
-/// (no thundering herd on a shared deploy directory).
+/// capped exponential backoff with deterministic jitter, and the one
+/// try / back off / retry loop (retryWithBackoff) every retrying call
+/// site runs. The jitter factor is a pure function of (Seed, key hash,
+/// attempt) via the same mixSeed derivation every other seeded
+/// subsystem uses, so a retry schedule is bit-reproducible — two runs
+/// of the same fault schedule sleep the same milliseconds — while
+/// distinct keys still de-correlate (no thundering herd on a shared
+/// deploy directory).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUASMRL_SUPPORT_RETRY_H
 #define CUASMRL_SUPPORT_RETRY_H
 
+#include "support/Clock.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -56,6 +59,24 @@ inline std::chrono::milliseconds backoffDelay(const RetryPolicy &Policy,
   double Cap = static_cast<double>(Policy.MaxDelay.count());
   Delay = std::clamp(Delay, 0.0, Cap);
   return std::chrono::milliseconds(static_cast<int64_t>(Delay));
+}
+
+/// Calls \p Try until it returns true, at most Policy.MaxAttempts
+/// times. Before retry number N (1 = first retry) it calls
+/// \p OnRetry(N), then sleeps backoffDelay(Policy, N, Seed, KeyHash) on
+/// \p Clk. \returns false when every attempt failed; there is no sleep
+/// after the last one.
+template <typename TryFn, typename RetryFn>
+bool retryWithBackoff(const RetryPolicy &Policy, Clock &Clk, uint64_t Seed,
+                      uint64_t KeyHash, TryFn &&Try, RetryFn &&OnRetry) {
+  for (unsigned Attempt = 1;; ++Attempt) {
+    if (Try())
+      return true;
+    if (Attempt >= Policy.MaxAttempts)
+      return false;
+    OnRetry(Attempt);
+    Clk.sleepFor(backoffDelay(Policy, Attempt, Seed, KeyHash));
+  }
 }
 
 } // namespace support

@@ -19,13 +19,13 @@
 ///
 /// Thread-safety contract: every public member may be called
 /// concurrently from any number of threads. tune()/sweepAll() give a
-/// single-sweep-per-key guarantee mirroring gpusim::MeasurementCache:
-/// when several threads miss on the same (kind, shape) simultaneously,
-/// exactly one runs the sweep while the others block until its result
-/// is published. The sweep itself runs outside the cache lock, so
-/// distinct keys sweep in parallel. Pointers returned by cached() stay
-/// valid for the Autotuner's lifetime and the pointed-to result is
-/// immutable once published.
+/// single-sweep-per-key guarantee (support::SingleFlight, as in
+/// gpusim::MeasurementCache): when several threads miss on the same
+/// (kind, shape) simultaneously, exactly one runs the sweep while the
+/// others block until its result is published. The sweep itself runs
+/// outside the cache lock, so distinct keys sweep in parallel. Pointers
+/// returned by cached() stay valid for the Autotuner's lifetime and the
+/// pointed-to result is immutable once published.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +35,7 @@
 #include "gpusim/Measurement.h"
 #include "kernels/Builder.h"
 #include "support/Cancellation.h"
-
-#include <condition_variable>
-#include <map>
-#include <mutex>
+#include "support/SingleFlight.h"
 
 namespace cuasmrl {
 namespace triton {
@@ -80,8 +77,9 @@ struct AutotuneOptions {
   uint64_t BaseSeed = 7;
   /// Cooperative cancellation (not owned; may be null). Checked once
   /// per candidate — a tripped token unwinds the sweep with
-  /// CancelledError, and the single-flight cache reclaims the claimed
-  /// keys (never poisons them) exactly as for any other sweep failure.
+  /// CancelledError, and the sweep abandons its claimed
+  /// support::SingleFlight keys (never poisons them) exactly as for any
+  /// other sweep failure.
   const support::CancelToken *Cancel = nullptr;
 };
 
@@ -131,11 +129,6 @@ public:
   }
 
 private:
-  struct Slot {
-    AutotuneResult Result;
-    bool Ready = false;
-  };
-
   /// Measures one candidate on a private device copy. Pure function of
   /// (Device, Kind, Shape, Config, Seed) — safe to run concurrently.
   TunedConfig measureCandidate(const gpusim::Gpu &Device,
@@ -144,14 +137,18 @@ private:
                                const kernels::TileConfig &Config,
                                uint64_t Seed) const;
 
+  /// Sweeps the requests at \p Owned (keys this thread claimed) in one
+  /// cross-request fan-out and publishes each result into \p Out and
+  /// the cache. A throw abandons every claimed key, then propagates.
+  void sweepOwned(const gpusim::Gpu &Device,
+                  const std::vector<SweepRequest> &Requests,
+                  const std::vector<std::string> &Keys,
+                  const std::vector<size_t> &Owned,
+                  std::vector<AutotuneResult> &Out);
+
   AutotuneOptions Options;
-  mutable std::mutex Mutex;
-  std::condition_variable Published;
-  /// Claimed (in-flight) and published sweeps. Entries are only erased
-  /// when a sweep fails with an exception (the key becomes reclaimable,
-  /// mirroring MeasurementCache), so published results never move.
-  std::map<std::string, Slot> Cache;
-  uint64_t Sweeps = 0;
+  /// One published result per swept key; sweepsPerformed() == size().
+  support::SingleFlight<std::string, AutotuneResult> Cache;
 };
 
 } // namespace triton

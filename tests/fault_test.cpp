@@ -200,6 +200,42 @@ TEST(RetryPolicyTest, JitterIsSeededAndBounded) {
   EXPECT_TRUE(Differs);
 }
 
+TEST(RetryPolicyTest, RetryLoopStopsOnFirstSuccess) {
+  support::FakeClock Clock;
+  support::RetryPolicy P;
+  const support::Clock::TimePoint Start = Clock.now();
+  unsigned Tries = 0, Retries = 0;
+  EXPECT_TRUE(support::retryWithBackoff(
+      P, Clock, 7, 1, [&] { return ++Tries == 2; },
+      [&](unsigned) { ++Retries; }));
+  EXPECT_EQ(Tries, 2u);
+  EXPECT_EQ(Retries, 1u);
+  EXPECT_EQ(Clock.now() - Start, support::backoffDelay(P, 1, 7, 1));
+}
+
+TEST(RetryPolicyTest, RetryLoopExhaustsAttemptsAndSleepsTheSchedule) {
+  support::FakeClock Clock;
+  support::RetryPolicy P;
+  P.MaxAttempts = 4;
+  const support::Clock::TimePoint Start = Clock.now();
+  unsigned Tries = 0;
+  std::vector<unsigned> RetryNumbers;
+  EXPECT_FALSE(support::retryWithBackoff(
+      P, Clock, 7, 42,
+      [&] {
+        ++Tries;
+        return false;
+      },
+      [&](unsigned Attempt) { RetryNumbers.push_back(Attempt); }));
+  EXPECT_EQ(Tries, P.MaxAttempts);
+  EXPECT_EQ(RetryNumbers, (std::vector<unsigned>{1, 2, 3}));
+  // No sleep after the last attempt: exactly the three backoffs.
+  std::chrono::milliseconds Slept{0};
+  for (unsigned Attempt = 1; Attempt < P.MaxAttempts; ++Attempt)
+    Slept += support::backoffDelay(P, Attempt, 7, 42);
+  EXPECT_EQ(Clock.now() - Start, Slept);
+}
+
 //===----------------------------------------------------------------------===//
 // FaultInjector
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,7 @@
 #include "core/Optimizer.h"
 #include "sass/Parser.h"
 #include "search/Search.h"
+#include "support/Cancellation.h"
 #include "triton/Autotuner.h"
 #include "triton/DeployCache.h"
 #include "triton/Pipeline.h"
@@ -206,6 +207,31 @@ TEST(AutotunerSweepTest, ConcurrentTunesShareOneSweep) {
   EXPECT_EQ(Tuner.sweepsPerformed(), 1u);
   for (size_t T = 1; T < Results.size(); ++T)
     expectSweepIdentical(Results[0], Results[T]);
+}
+
+TEST(AutotunerSweepTest, CancelledSweepLeavesKeyReclaimable) {
+  // Release-on-throw: a sweep unwound by cancellation abandons its
+  // claimed key instead of poisoning it, so the same Autotuner sweeps
+  // the key again once the token allows it.
+  gpusim::Gpu Device;
+  support::FakeClock Clock;
+  support::CancelToken Token;
+  Token.setDeadline(Clock, Clock.now());
+  triton::AutotuneOptions O;
+  O.Measure = quickMeasure();
+  O.Cancel = &Token;
+  triton::Autotuner Tuner(O);
+  WorkloadShape Shape = testShape(WorkloadKind::Softmax);
+  EXPECT_THROW(Tuner.tune(Device, WorkloadKind::Softmax, Shape),
+               support::CancelledError);
+  EXPECT_EQ(Tuner.cached(WorkloadKind::Softmax, Shape), nullptr);
+  EXPECT_EQ(Tuner.sweepsPerformed(), 0u);
+
+  Token.setDeadline(Clock, Clock.now() + std::chrono::hours(1));
+  triton::AutotuneResult R = Tuner.tune(Device, WorkloadKind::Softmax, Shape);
+  EXPECT_TRUE(R.Valid);
+  EXPECT_EQ(Tuner.sweepsPerformed(), 1u);
+  EXPECT_NE(Tuner.cached(WorkloadKind::Softmax, Shape), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

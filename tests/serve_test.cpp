@@ -533,7 +533,7 @@ TEST(ServeTest, DrainQuiescesAndKeepsAccepting) {
 
 TEST(ServeTest, AgingPromotesStarvedLowPriorityJobs) {
   // Starvation regression: an old low-priority job accrues effective
-  // priority while queued (AgingInterval/AgingStep), so it eventually
+  // priority while queued (one level per AgingInterval), so it eventually
   // outranks younger high-priority work instead of waiting forever.
   gpusim::Gpu Device;
   support::FakeClock Clock;
@@ -541,7 +541,6 @@ TEST(ServeTest, AgingPromotesStarvedLowPriorityJobs) {
   SC.StartPaused = true; // Admission fixed before the worker starts.
   SC.ClockSrc = &Clock;
   SC.AgingInterval = std::chrono::milliseconds(10);
-  SC.AgingStep = 1;
   OptimizationService Service(Device, SC);
 
   std::mutex OrderMutex;

@@ -8,6 +8,7 @@
 #include "support/Error.h"
 #include "support/FileLock.h"
 #include "support/Rng.h"
+#include "support/SingleFlight.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
@@ -18,8 +19,10 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace cuasmrl;
@@ -255,6 +258,94 @@ TEST(ThreadPool, ZeroThreadRequestClampsToOne) {
   std::atomic<int> Done{0};
   Pool.parallelFor(5, [&](size_t) { Done.fetch_add(1); });
   EXPECT_EQ(Done.load(), 5);
+}
+
+//===----------------------------------------------------------------------===//
+// SingleFlight: one computation per key
+//===----------------------------------------------------------------------===//
+
+TEST(SingleFlight, RacingThreadsComputeOnce) {
+  support::SingleFlight<int, int> Flight;
+  std::atomic<int> Computations{0};
+  std::vector<int> Seen(8, 0);
+  support::ThreadPool Pool(Seen.size());
+  Pool.parallelFor(Seen.size(), [&](size_t T) {
+    auto C = Flight.acquire(7);
+    if (C.Owned) {
+      Computations.fetch_add(1);
+      // Keep the key in flight while the other threads arrive.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      Flight.publish(7, 49);
+      Seen[T] = 49;
+    } else {
+      ASSERT_NE(C.Value, nullptr);
+      Seen[T] = *C.Value;
+    }
+  });
+  EXPECT_EQ(Computations.load(), 1);
+  for (int V : Seen)
+    EXPECT_EQ(V, 49);
+  EXPECT_EQ(Flight.size(), 1u);
+}
+
+TEST(SingleFlight, AbandonLetsAWaiterReclaimAndPublish) {
+  support::SingleFlight<std::string, int> Flight;
+  ASSERT_TRUE(Flight.acquire("k").Owned);
+  std::atomic<bool> WaiterOwned{false};
+  std::thread Waiter([&] {
+    auto C = Flight.acquire("k"); // Blocks until the owner gives up.
+    if (C.Owned) {
+      WaiterOwned = true;
+      Flight.publish("k", 2);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Flight.abandon("k"); // The failed owner: the key is not poisoned.
+  Waiter.join();
+  EXPECT_TRUE(WaiterOwned.load());
+  ASSERT_NE(Flight.find("k"), nullptr);
+  EXPECT_EQ(*Flight.find("k"), 2);
+  EXPECT_EQ(Flight.size(), 1u);
+}
+
+TEST(SingleFlight, TryAcquireReportsInFlightElsewhere) {
+  support::SingleFlight<int, int> Flight;
+  std::promise<void> Claimed, Release;
+  std::thread Owner([&] {
+    ASSERT_TRUE(Flight.acquire(1).Owned);
+    Claimed.set_value();
+    Release.get_future().wait();
+    Flight.publish(1, 10);
+  });
+  Claimed.get_future().wait();
+  auto C = Flight.tryAcquire(1);
+  EXPECT_FALSE(C.Owned);
+  EXPECT_EQ(C.Value, nullptr) << "in flight on the owner thread";
+  Release.set_value();
+  Owner.join();
+  C = Flight.tryAcquire(1);
+  ASSERT_NE(C.Value, nullptr);
+  EXPECT_EQ(*C.Value, 10);
+  EXPECT_TRUE(Flight.tryAcquire(2).Owned) << "absent keys are claimed";
+}
+
+TEST(SingleFlight, FindSeesOnlyPublishedValues) {
+  support::SingleFlight<int, double> Flight;
+  EXPECT_EQ(Flight.find(3), nullptr);
+  ASSERT_TRUE(Flight.acquire(3).Owned);
+  EXPECT_EQ(Flight.find(3), nullptr) << "claimed, not yet published";
+  EXPECT_EQ(Flight.size(), 0u);
+  Flight.publish(3, 1.5);
+  const double *V = Flight.find(3);
+  ASSERT_NE(V, nullptr);
+  EXPECT_EQ(*V, 1.5);
+  // Published entries never move: later inserts keep the pointer valid.
+  for (int K = 100; K < 200; ++K) {
+    ASSERT_TRUE(Flight.acquire(K).Owned);
+    Flight.publish(K, K);
+  }
+  EXPECT_EQ(Flight.find(3), V);
+  EXPECT_EQ(Flight.size(), 101u);
 }
 
 //===----------------------------------------------------------------------===//
