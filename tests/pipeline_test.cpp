@@ -8,6 +8,7 @@
 #include "sass/Parser.h"
 #include "search/Search.h"
 #include "support/Cancellation.h"
+#include "support/StringUtils.h"
 #include "triton/Autotuner.h"
 #include "triton/DeployCache.h"
 #include "triton/Pipeline.h"
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -800,4 +802,173 @@ TEST(OptimizerTest, AutotuneAllSurfacesPersistFailures) {
   EXPECT_EQ(Stats.Stored, 0u);
   EXPECT_EQ(Stats.Failures, 2u);
   std::filesystem::remove_all(Blocker);
+}
+
+//===----------------------------------------------------------------------===//
+// Optimizer golden rows
+//===----------------------------------------------------------------------===//
+//
+// Exact optimize() / optimizeMany() output at a tiny config, captured
+// before optimize() became optimizeMany() of one request. Any change in
+// the level-1 sweep, the Rng draw order, the env pools, the PPO loop or
+// the greedy replay shows up here as a changed bit pattern or hash.
+
+namespace {
+
+struct OptimizerGoldenRow {
+  uint64_t TritonUsBits;
+  uint64_t OptimizedUsBits;
+  unsigned KernelExecutions;
+  size_t TrainingSize;
+  uint64_t LastPolicyLossBits; ///< 0 when there was no update.
+  size_t WarmStartTensors;
+  uint64_t BinaryHash; ///< fnv1a64 of the serialized cubin.
+  uint64_t PolicyHash; ///< fnv1a64 of PolicyBlob.
+};
+
+uint64_t bitsOf(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof Bits);
+  return Bits;
+}
+
+core::OptimizeConfig goldenConfig() {
+  core::OptimizeConfig C;
+  C.Ppo.TotalSteps = 64;
+  C.Ppo.RolloutLen = 16;
+  C.Ppo.MiniBatches = 2;
+  C.Ppo.Epochs = 2;
+  C.Ppo.Channels = 4;
+  C.Ppo.Hidden = 16;
+  C.Game.EpisodeLength = 8;
+  C.Game.Measure.WarmupIters = 1;
+  C.Game.Measure.RepeatIters = 1;
+  C.Game.Measure.NoiseStddev = 0.001;
+  C.AutotuneMeasure = quickMeasure();
+  C.ProbTestRounds = 1;
+  return C;
+}
+
+/// \p Training is the run's PPO series: the result's own for
+/// optimize(), the joint one for optimizeMany().
+OptimizerGoldenRow rowOf(const core::OptimizeResult &R,
+                         const std::vector<rl::UpdateStats> &Training) {
+  std::vector<uint8_t> Bytes = R.Kernel.Binary.serialize();
+  return {bitsOf(R.TritonUs),
+          bitsOf(R.OptimizedUs),
+          R.KernelExecutions,
+          Training.size(),
+          Training.empty() ? 0 : bitsOf(Training.back().PolicyLoss),
+          R.WarmStartTensors,
+          fnv1a64(std::string_view(
+              reinterpret_cast<const char *>(Bytes.data()), Bytes.size())),
+          fnv1a64(R.PolicyBlob)};
+}
+
+void expectRow(const OptimizerGoldenRow &Got, const OptimizerGoldenRow &Want) {
+  EXPECT_EQ(Got.TritonUsBits, Want.TritonUsBits);
+  EXPECT_EQ(Got.OptimizedUsBits, Want.OptimizedUsBits);
+  EXPECT_EQ(Got.KernelExecutions, Want.KernelExecutions);
+  EXPECT_EQ(Got.TrainingSize, Want.TrainingSize);
+  EXPECT_EQ(Got.LastPolicyLossBits, Want.LastPolicyLossBits);
+  EXPECT_EQ(Got.WarmStartTensors, Want.WarmStartTensors);
+  EXPECT_EQ(Got.BinaryHash, Want.BinaryHash);
+  EXPECT_EQ(Got.PolicyHash, Want.PolicyHash);
+  if (testing::Test::HasFailure())
+    ADD_FAILURE() << std::hex << "captured row: {0x" << Got.TritonUsBits
+                  << "ull, 0x" << Got.OptimizedUsBits << "ull, " << std::dec
+                  << Got.KernelExecutions << ", " << Got.TrainingSize
+                  << ", 0x" << std::hex << Got.LastPolicyLossBits << "ull, "
+                  << std::dec << Got.WarmStartTensors << ", 0x" << std::hex
+                  << Got.BinaryHash << "ull, 0x" << Got.PolicyHash << "ull}";
+}
+
+core::OptimizeResult goldenSoftmax(const core::OptimizeConfig &C,
+                                   const std::string *WarmStart = nullptr) {
+  gpusim::Gpu Device;
+  Rng DataRng(5);
+  core::Optimizer Opt(C);
+  return Opt.optimize(Device, WorkloadKind::Softmax,
+                      testShape(WorkloadKind::Softmax), DataRng, nullptr,
+                      WarmStart);
+}
+
+} // namespace
+
+TEST(OptimizerGoldenTest, SoftmaxOneEnv) {
+  core::OptimizeResult R = goldenSoftmax(goldenConfig());
+  ASSERT_TRUE(R.AutotuneValid);
+  expectRow(rowOf(R, R.Training),
+            {0x4009472f26d976f8ull, 0x40075e4fb6962808ull, 44, 4,
+             0xbee1016f00000000ull, 0, 0x9ac48b1a814616d1ull,
+             0x645ed6b90c8e48b0ull});
+}
+
+TEST(OptimizerGoldenTest, ConditionedMmLeakyReluTwoEnvsTwoWorkers) {
+  core::OptimizeConfig C = goldenConfig();
+  C.ConditionEmbedding = true;
+  C.NumEnvs = 2;
+  C.RolloutWorkers = 2;
+  gpusim::Gpu Device;
+  Rng DataRng(5);
+  core::Optimizer Opt(C);
+  core::OptimizeResult R =
+      Opt.optimize(Device, WorkloadKind::MmLeakyRelu,
+                   testShape(WorkloadKind::MmLeakyRelu), DataRng);
+  ASSERT_TRUE(R.AutotuneValid);
+  expectRow(rowOf(R, R.Training),
+            {0x3ffe6d91097103deull, 0x3ffe4b07e88c418dull, 132, 2,
+             0xbf1003d040000000ull, 0, 0x9451b68bf5124ff1ull,
+             0x10792cd01a875cd2ull});
+}
+
+TEST(OptimizerGoldenTest, WarmStartFromSoftmaxPolicy) {
+  const std::string Blob = goldenSoftmax(goldenConfig()).PolicyBlob;
+  core::OptimizeResult R = goldenSoftmax(goldenConfig(), &Blob);
+  ASSERT_TRUE(R.AutotuneValid);
+  expectRow(rowOf(R, R.Training),
+            {0x4009472f26d976f8ull, 0x40075e4fb6962808ull, 44, 4,
+             0xbee4a89370000000ull, 10, 0x9ac48b1a814616d1ull,
+             0x1daaf3cfecdef0d2ull});
+}
+
+TEST(OptimizerGoldenTest, ZeroTotalSteps) {
+  core::OptimizeConfig C = goldenConfig();
+  C.Ppo.TotalSteps = 0;
+  core::OptimizeResult R = goldenSoftmax(C);
+  ASSERT_TRUE(R.AutotuneValid);
+  expectRow(rowOf(R, R.Training),
+            {0x4009472f26d976f8ull, 0x4007bc0925bc482bull, 18, 0,
+             0x0ull, 0, 0x33adb0a753bd70afull,
+             0x6df5631125ab219full});
+}
+
+TEST(OptimizerGoldenTest, TwoRequestOptimizeMany) {
+  gpusim::Gpu Device;
+  Rng DataRng(5);
+  core::Optimizer Opt(goldenConfig());
+  core::MultiOptimizeResult M = Opt.optimizeMany(
+      Device,
+      {{WorkloadKind::Softmax, testShape(WorkloadKind::Softmax)},
+       {WorkloadKind::MmLeakyRelu, testShape(WorkloadKind::MmLeakyRelu)}},
+      DataRng);
+  ASSERT_EQ(M.Results.size(), 2u);
+  EXPECT_EQ(M.Curriculum, (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(fnv1a64(M.PolicyBlob), 0x2d5d4454fa9773b2ull);
+  for (const core::OptimizeResult &R : M.Results)
+    ASSERT_TRUE(R.AutotuneValid);
+  {
+    SCOPED_TRACE("request 0 (softmax)");
+    expectRow(rowOf(M.Results[0], M.Training),
+              {0x4009472f26d976f8ull, 0x4007bc0925bc482bull, 34, 3,
+               0xbf00e26348000000ull, 0, 0x33adb0a753bd70afull,
+               0x2d5d4454fa9773b2ull});
+  }
+  {
+    SCOPED_TRACE("request 1 (mm_leaky_relu)");
+    expectRow(rowOf(M.Results[1], M.Training),
+              {0x3ffe6d91097103deull, 0x3ffe48e560d9501aull, 86, 3,
+               0xbf00e26348000000ull, 0, 0x9318a5a22b3df91full,
+               0x2d5d4454fa9773b2ull});
+  }
 }
