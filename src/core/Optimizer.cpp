@@ -12,71 +12,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace cuasmrl;
 using namespace cuasmrl::core;
 
 Optimizer::Optimizer(OptimizeConfig C) : Config(std::move(C)) {}
-
-namespace {
-
-/// The post-training tail shared by optimizeSchedule() and
-/// optimizeMany(): best-schedule selection across \p Adapters, the
-/// deterministic greedy replay (§5.7), measurement-cost accounting and
-/// the probabilistic test — all scoped to ONE workload's game pool.
-void finishWorkload(const OptimizeConfig &Config, gpusim::Gpu &Device,
-                    const kernels::BuiltKernel &Kernel,
-                    rl::PpoTrainer &Trainer,
-                    const std::vector<GameEnvAdapter *> &Adapters,
-                    gpusim::MeasurementCache *SharedCache, Rng &DataRng,
-                    const support::CancelToken *Cancel,
-                    OptimizeResult &Result) {
-  // Best schedule across every game (the paper deploys the best cubin
-  // found "throughout the assembly game", §4.2).
-  env::AssemblyGame *BestGame = &Adapters.front()->game();
-  for (GameEnvAdapter *A : Adapters)
-    if (A->game().bestTimeUs() < BestGame->bestTimeUs())
-      BestGame = &A->game();
-  Result.TritonUs = BestGame->initialTimeUs();
-  Result.OptimizedUs = BestGame->bestTimeUs();
-  Result.OptimizedProg = BestGame->best();
-
-  // Deterministic inference replay for the §5.7 move traces.
-  BestGame->setTraceRecording(Config.Game.RecordTrace);
-  GameEnvAdapter Probe(*BestGame);
-  Trainer.playGreedy(Probe, Config.Game.EpisodeLength);
-  Result.Trace = BestGame->trace();
-  if (BestGame->bestTimeUs() < Result.OptimizedUs) {
-    Result.OptimizedUs = BestGame->bestTimeUs();
-    Result.OptimizedProg = BestGame->best();
-  }
-
-  // Measurement-cost accounting (§7) — after the replay so its cache
-  // traffic and simulations are included.
-  for (GameEnvAdapter *A : Adapters) {
-    Result.KernelExecutions += A->game().measurementsTaken();
-    // Per-stage simulator counters; summed across games the total is
-    // independent of which sibling ran a shared-cache measurement.
-    Result.RolloutCounters += A->game().simCounters();
-  }
-  if (SharedCache)
-    SharedCache->accumulate(Result.RolloutCounters);
-
-  // Between-stage checkpoint before the verification rounds.
-  if (Cancel)
-    Cancel->checkpoint();
-
-  // Probabilistic testing of the winning schedule (§4.1).
-  Result.Verified =
-      triton::probabilisticTest(Device, Kernel, Kernel.Prog,
-                                Result.OptimizedProg, Config.ProbTestRounds,
-                                DataRng);
-}
-
-} // namespace
 
 triton::AutotuneOptions Optimizer::autotuneOptions() const {
   triton::AutotuneOptions O;
@@ -93,121 +34,17 @@ OptimizeResult Optimizer::optimize(gpusim::Gpu &Device,
                                    const support::CancelToken *Cancel,
                                    const std::string *WarmStartPolicy,
                                    const std::string &GpuType) const {
-  // Level 1: kernel-configuration search (§3.1). The configurations can
-  // be worth up to 2x and completely change the SASS the agent sees.
-  triton::AutotuneOptions TunerOpts = autotuneOptions();
-  TunerOpts.Cancel = Cancel;
-  triton::Autotuner Tuner(TunerOpts);
-  triton::AutotuneResult Tuned = Tuner.tune(Device, Kind, Shape);
-  if (!Tuned.Valid) {
-    // No candidate fit the shape (or every measurement faulted): there
-    // is no meaningful configuration to compile, so surface the failure
-    // instead of training on a default-constructed "winner".
-    OptimizeResult Failed;
-    Failed.AutotuneValid = false;
-    return Failed;
-  }
-
-  // Between-stage checkpoint: don't start compiling a cubin nobody
-  // will wait for.
-  if (Cancel)
-    Cancel->checkpoint();
-
-  // Compile at the winning configuration and intercept the cubin.
-  triton::CompiledKernel Compiled =
-      triton::compileKernel(Device, Kind, Shape, Tuned.Best, DataRng);
-
-  // The conditioning block carries the workload identity into the
-  // observation when the generalist format is requested.
-  std::optional<env::WorkloadContext> Ctx;
-  if (Config.ConditionEmbedding) {
-    Ctx.emplace();
-    Ctx->Kind = Kind;
-    Ctx->Shape = Shape;
-    Ctx->GpuType = GpuType;
-  }
-
-  OptimizeResult Result =
-      optimizeSchedule(Device, Compiled.Runtime, DataRng, Cancel,
-                       WarmStartPolicy, Ctx ? &*Ctx : nullptr);
-  Result.BestConfig = Tuned.Best;
-
-  // Substitute the optimized kernel section back into the binary.
-  Result.Kernel = std::move(Compiled);
-  if (Result.Verified)
-    triton::substituteSchedule(Result.Kernel, Result.OptimizedProg);
-  return Result;
-}
-
-OptimizeResult
-Optimizer::optimizeSchedule(gpusim::Gpu &Device,
-                            const kernels::BuiltKernel &Kernel,
-                            Rng &DataRng,
-                            const support::CancelToken *Cancel,
-                            const std::string *WarmStartPolicy,
-                            const env::WorkloadContext *Context) const {
-  OptimizeResult Result;
-
-  // Level 2: the assembly game (§3.3). One game per vectorized env.
-  // Every game shares one schedule->latency cache; when rollouts run on
-  // worker threads each game gets a private device copy (the simulator
-  // mutates memory/cache state).
-  const unsigned NumEnvs = std::max(1u, Config.NumEnvs);
-  unsigned Workers =
-      support::ThreadPool::resolveWorkerCount(Config.RolloutWorkers, NumEnvs);
-
-  std::shared_ptr<gpusim::MeasurementCache> SharedCache;
-  if (Config.Game.CacheMeasurements)
-    SharedCache =
-        std::make_shared<gpusim::MeasurementCache>(Config.Game.Measure.Seed);
-
-  std::vector<std::unique_ptr<rl::Env>> Envs;
-  std::vector<GameEnvAdapter *> Adapters;
-  for (unsigned E = 0; E < NumEnvs; ++E) {
-    env::GameConfig GC = Config.Game;
-    GC.SharedCache = SharedCache;
-    if (Context)
-      GC.Context = *Context;
-    // Training rollouts never read the §5.7 trace (playGreedy resets
-    // the winning game before replaying); skip the per-step string
-    // rendering and re-enable recording just for the replay below.
-    GC.RecordTrace = false;
-    // Private whenever sibling games exist — not just when threaded:
-    // siblings sharing one device would see each other's cache/memory
-    // state, making measurements depend on the (worker-count-shaped)
-    // interleaving and breaking the stats-identical-for-any-Workers
-    // contract.
-    GC.PrivateDevice = NumEnvs > 1;
-    auto Adapter = std::make_unique<GameEnvAdapter>(
-        std::make_unique<env::AssemblyGame>(Device, Kernel, GC));
-    Adapters.push_back(Adapter.get());
-    Envs.push_back(std::move(Adapter));
-  }
-
-  rl::RolloutConfig RC;
-  RC.Workers = Workers;
-  RC.Seed = Config.Ppo.Seed;
-  RC.Cancel = Cancel;
-  rl::RolloutRunner Runner(std::move(Envs), RC);
-  rl::PpoTrainer Trainer(Runner, Config.Ppo);
-  Trainer.setCancel(Cancel);
-  if (WarmStartPolicy && !WarmStartPolicy->empty())
-    Result.WarmStartTensors = Trainer.warmStartFrom(*WarmStartPolicy);
-  Result.Training = Trainer.train();
-  Result.EpisodeReturns = Trainer.episodicReturns();
-
-  finishWorkload(Config, Device, Kernel, Trainer, Adapters,
-                 SharedCache.get(), DataRng, Cancel, Result);
-
-  std::ostringstream Blob;
-  Trainer.net().save(Blob);
-  Result.PolicyBlob = Blob.str();
+  MultiOptimizeResult Multi = optimizeMany(Device, {{Kind, Shape}}, DataRng,
+                                           Cancel, WarmStartPolicy, GpuType);
+  OptimizeResult Result = std::move(Multi.Results.front());
+  Result.Training = std::move(Multi.Training);
+  Result.EpisodeReturns = std::move(Multi.EpisodeReturns);
   return Result;
 }
 
 MultiOptimizeResult
 Optimizer::optimizeMany(gpusim::Gpu &Device,
-                        const std::vector<WorkloadRequest> &Requests,
+                        const std::vector<triton::SweepRequest> &Requests,
                         Rng &DataRng, const support::CancelToken *Cancel,
                         const std::string *WarmStartPolicy,
                         const std::string &GpuType) const {
@@ -216,31 +53,36 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   if (Requests.empty())
     return Multi;
 
-  // Level 1 per request: configuration search + compile at the winner.
+  // Level 1: kernel-configuration search (§3.1) over every request in
+  // one sweep. The configurations can be worth up to 2x and completely
+  // change the SASS the agent sees.
   triton::AutotuneOptions TunerOpts = autotuneOptions();
   TunerOpts.Cancel = Cancel;
-  triton::Autotuner Tuner(TunerOpts);
+  std::vector<triton::AutotuneResult> Tuned =
+      triton::Autotuner(TunerOpts).sweepAll(Device, Requests);
 
+  // Compile each winner and intercept its cubin.
   struct BuiltReq {
     size_t Req;
     triton::CompiledKernel Kernel;
   };
   std::vector<BuiltReq> Built;
   for (size_t I = 0; I < Requests.size(); ++I) {
-    triton::AutotuneResult Tuned =
-        Tuner.tune(Device, Requests[I].Kind, Requests[I].Shape);
-    if (!Tuned.Valid) {
-      // No meaningful configuration: exclude from training, surface the
-      // failure in place (mirrors the single-workload path).
+    if (!Tuned[I].Valid) {
+      // No candidate fit the shape (or every measurement faulted): there
+      // is no meaningful configuration to compile, so surface the
+      // failure in place and keep the request out of training.
       Multi.Results[I].AutotuneValid = false;
       continue;
     }
+    // Between-stage checkpoint: don't compile a cubin nobody will wait
+    // for.
     if (Cancel)
       Cancel->checkpoint();
-    Multi.Results[I].BestConfig = Tuned.Best;
+    Multi.Results[I].BestConfig = Tuned[I].Best;
     Built.push_back({I, triton::compileKernel(Device, Requests[I].Kind,
-                                              Requests[I].Shape, Tuned.Best,
-                                              DataRng)});
+                                              Requests[I].Shape,
+                                              Tuned[I].Best, DataRng)});
   }
   if (Built.empty())
     return Multi;
@@ -256,21 +98,23 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   for (const BuiltReq &B : Built)
     Multi.Curriculum.push_back(B.Req);
 
-  // The conditioned embedding pads every workload's operand features to
-  // the pool maximum so every observation shares one feature width.
+  // The conditioning block carries the workload identity into the
+  // observation: always for a policy shared by several workloads, on
+  // request for one. It pads every workload's operand features to the
+  // pool maximum so every observation shares one feature width.
+  const bool Condition = Config.ConditionEmbedding || Requests.size() > 1;
   size_t OperandSlots = 0;
-  for (const BuiltReq &B : Built)
-    OperandSlots = std::max(
-        OperandSlots,
-        analysis::OperandTable::build(B.Kernel.Runtime.Prog).maxOperands());
+  if (Condition)
+    for (const BuiltReq &B : Built)
+      OperandSlots = std::max(
+          OperandSlots,
+          analysis::OperandTable::build(B.Kernel.Runtime.Prog).maxOperands());
 
-  // One env pool per workload, each with its own measurement cache
-  // (mirroring optimizeSchedule's per-run cache), all conditioned.
+  // Level 2: the assembly game (§3.3). One env pool of NumEnvs games
+  // per workload; the games of one pool share a schedule->latency
+  // cache.
   const unsigned PerWorkload = std::max(1u, Config.NumEnvs);
   const size_t TotalEnvs = PerWorkload * Built.size();
-  unsigned Workers =
-      support::ThreadPool::resolveWorkerCount(Config.RolloutWorkers,
-                                              TotalEnvs);
 
   struct WorkloadPool {
     size_t Req;
@@ -290,15 +134,24 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
     for (unsigned E = 0; E < PerWorkload; ++E) {
       env::GameConfig GC = Config.Game;
       GC.SharedCache = P.Cache;
+      // Training rollouts never read the §5.7 trace (playGreedy resets
+      // the winning game before replaying); skip the per-step string
+      // rendering and re-enable recording just for the replay below.
       GC.RecordTrace = false;
-      // Private whenever sibling games exist (see optimizeSchedule).
+      // Private whenever sibling games exist — not just when threaded:
+      // siblings sharing one device would see each other's
+      // cache/memory state, making measurements depend on the
+      // (worker-count-shaped) interleaving and breaking the
+      // stats-identical-for-any-Workers contract.
       GC.PrivateDevice = TotalEnvs > 1;
-      env::WorkloadContext Ctx;
-      Ctx.Kind = Requests[B.Req].Kind;
-      Ctx.Shape = Requests[B.Req].Shape;
-      Ctx.GpuType = GpuType;
-      Ctx.OperandSlots = OperandSlots;
-      GC.Context = Ctx;
+      if (Condition) {
+        env::WorkloadContext Ctx;
+        Ctx.Kind = Requests[B.Req].Kind;
+        Ctx.Shape = Requests[B.Req].Shape;
+        Ctx.GpuType = GpuType;
+        Ctx.OperandSlots = OperandSlots;
+        GC.Context = Ctx;
+      }
       auto Adapter = std::make_unique<GameEnvAdapter>(
           std::make_unique<env::AssemblyGame>(Device, B.Kernel.Runtime,
                                               GC));
@@ -312,14 +165,13 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   for (const std::unique_ptr<rl::Env> &E : Envs)
     AllEnvs.push_back(E.get());
 
-  rl::RolloutConfig RC;
-  RC.Workers = Workers;
-  RC.Seed = Config.Ppo.Seed;
-  RC.Cancel = Cancel;
-
   // The trainer's net is sized from the FULL mixed pool (max rows, max
   // actions, the shared feature width) — phase runners over subsets
-  // then fit by construction.
+  // then fit by construction. This runner never collects, so it runs
+  // without workers.
+  rl::RolloutConfig RC;
+  RC.Seed = Config.Ppo.Seed;
+  RC.Cancel = Cancel;
   rl::RolloutRunner FullRunner(AllEnvs, RC);
   rl::PpoTrainer Trainer(FullRunner, Config.Ppo);
   Trainer.setCancel(Cancel);
@@ -328,12 +180,16 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
 
   // Curriculum phases: phase p trains on the cumulative pool of the
   // p+1 smallest workloads; the step budget splits evenly with the
-  // remainder on the final (full-pool) phase. Each phase gets a fresh
-  // runner — construction resets its envs and re-derives the per-slot
-  // Rng streams from (Seed, slot), so the whole schedule is a pure
-  // function of the request set and seeds, worker count aside.
+  // remainder on the final (full-pool) phase, so one workload is one
+  // phase of Ppo.TotalSteps. Each phase gets a fresh runner —
+  // construction resets its envs and re-derives the per-slot Rng
+  // streams from (Seed, slot), so the whole schedule is a pure function
+  // of the request set and seeds, worker count aside.
+  RC.Workers =
+      support::ThreadPool::resolveWorkerCount(Config.RolloutWorkers,
+                                              TotalEnvs);
   const size_t Phases = Pools.size();
-  const unsigned Total = std::max(1u, Config.Ppo.TotalSteps);
+  const unsigned Total = Config.Ppo.TotalSteps;
   const unsigned PerPhase = static_cast<unsigned>(Total / Phases);
   for (size_t P = 0; P < Phases; ++P) {
     const bool Final = P + 1 == Phases;
@@ -357,12 +213,51 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   Trainer.net().save(Blob);
   Multi.PolicyBlob = Blob.str();
 
-  // Per-workload tail: best schedule, greedy replay, accounting,
-  // probabilistic test, binary substitution — identical to optimize().
+  // Per-workload tail, each scoped to ONE workload's game pool.
   for (WorkloadPool &P : Pools) {
     OptimizeResult &R = Multi.Results[P.Req];
-    finishWorkload(Config, Device, P.Kernel->Runtime, Trainer, P.Adapters,
-                   P.Cache.get(), DataRng, Cancel, R);
+    const kernels::BuiltKernel &Kernel = P.Kernel->Runtime;
+
+    // Best schedule across the pool (the paper deploys the best cubin
+    // found "throughout the assembly game", §4.2).
+    env::AssemblyGame *BestGame = &P.Adapters.front()->game();
+    for (GameEnvAdapter *A : P.Adapters)
+      if (A->game().bestTimeUs() < BestGame->bestTimeUs())
+        BestGame = &A->game();
+    R.TritonUs = BestGame->initialTimeUs();
+    R.OptimizedUs = BestGame->bestTimeUs();
+    R.OptimizedProg = BestGame->best();
+
+    // Deterministic inference replay for the §5.7 move traces.
+    BestGame->setTraceRecording(Config.Game.RecordTrace);
+    GameEnvAdapter Probe(*BestGame);
+    Trainer.playGreedy(Probe, Config.Game.EpisodeLength);
+    R.Trace = BestGame->trace();
+    if (BestGame->bestTimeUs() < R.OptimizedUs) {
+      R.OptimizedUs = BestGame->bestTimeUs();
+      R.OptimizedProg = BestGame->best();
+    }
+
+    // Measurement-cost accounting (§7) — after the replay so its cache
+    // traffic and simulations are included.
+    for (GameEnvAdapter *A : P.Adapters) {
+      R.KernelExecutions += A->game().measurementsTaken();
+      // Per-stage simulator counters; summed across games the total is
+      // independent of which sibling ran a shared-cache measurement.
+      R.RolloutCounters += A->game().simCounters();
+    }
+    if (P.Cache)
+      P.Cache->accumulate(R.RolloutCounters);
+
+    // Between-stage checkpoint before the verification rounds.
+    if (Cancel)
+      Cancel->checkpoint();
+
+    // Probabilistic testing of the winning schedule (§4.1), then
+    // substitution of the optimized kernel section into the binary.
+    R.Verified = triton::probabilisticTest(Device, Kernel, Kernel.Prog,
+                                           R.OptimizedProg,
+                                           Config.ProbTestRounds, DataRng);
     R.PolicyBlob = Multi.PolicyBlob;
     R.WarmStartTensors = Multi.WarmStartTensors;
     R.Kernel = std::move(*P.Kernel);

@@ -42,13 +42,10 @@ struct OptimizeConfig {
   /// of one run share a MeasurementCache, so sibling episodes never
   /// re-simulate an already-measured schedule.
   unsigned NumEnvs = 1;
-  /// Worker threads collecting rollouts; 0 = min(NumEnvs, hardware
-  /// concurrency). Training statistics are identical for every value
-  /// (per-env Rng streams + order-invariant cache seeding) — this is a
-  /// wall-clock knob only. This knob — not Ppo.Workers — governs the
-  /// optimizer path: the optimizer hands PpoTrainer an external
-  /// RolloutRunner, and Ppo.Workers only applies when the trainer
-  /// builds its own runner from raw env pointers.
+  /// Worker threads collecting rollouts; 0 = min(total env count,
+  /// hardware concurrency). Training statistics are identical for every
+  /// value (per-env Rng streams + order-invariant cache seeding) — this
+  /// is a wall-clock knob only.
   unsigned RolloutWorkers = 0;
   /// Probabilistic-testing rounds on the final schedule (§4.1).
   unsigned ProbTestRounds = 3;
@@ -65,8 +62,8 @@ struct OptimizeConfig {
   /// generalist-policy observation format. Result-relevant: the agent
   /// trains on different observations, so this field is part of
   /// configDigest() in serve/OptimizationService.cpp. optimizeMany()
-  /// always conditions (a shared policy needs the workload identity in
-  /// the observation) regardless of this flag.
+  /// of more than one request always conditions (a shared policy needs
+  /// the workload identity in the observation) regardless of this flag.
   bool ConditionEmbedding = false;
 };
 
@@ -81,7 +78,9 @@ struct OptimizeResult {
   double OptimizedUs = 0.0;       ///< Best schedule the agent found.
   sass::Program OptimizedProg;
   triton::CompiledKernel Kernel;  ///< Binary with the substituted text.
-  std::vector<rl::UpdateStats> Training; ///< Figure 8/12 series.
+  /// Figure 8/12 series (optimize() only; optimizeMany() reports the
+  /// joint series in MultiOptimizeResult).
+  std::vector<rl::UpdateStats> Training;
   std::vector<double> EpisodeReturns;
   std::vector<env::AppliedAction> Trace; ///< Greedy replay (§5.7).
   bool Verified = false;                 ///< Probabilistic test passed.
@@ -112,12 +111,6 @@ struct DeployStats {
   unsigned Attempted = 0;
   unsigned Stored = 0;
   unsigned Failures = 0;
-};
-
-/// One workload in an optimizeMany() batch.
-struct WorkloadRequest {
-  kernels::WorkloadKind Kind = kernels::WorkloadKind::Softmax;
-  kernels::WorkloadShape Shape;
 };
 
 /// What a shared cross-kernel run produces: per-request results (in
@@ -151,11 +144,12 @@ class Optimizer {
 public:
   explicit Optimizer(OptimizeConfig Config = OptimizeConfig());
 
-  /// Runs the full hierarchical optimization for one workload. When
-  /// \p Cancel is non-null, the run polls it at cooperative
-  /// checkpoints — per autotune candidate, per rollout slot, per PPO
-  /// epoch, between stages — and a tripped token unwinds with
-  /// support::CancelledError (partial results are discarded; the
+  /// Runs the full hierarchical optimization for one workload:
+  /// optimizeMany() of the one request, with the joint training series
+  /// moved into the result. When \p Cancel is non-null, the run polls it
+  /// at cooperative checkpoints — per autotune candidate, per rollout
+  /// slot, per PPO epoch, between stages — and a tripped token unwinds
+  /// with support::CancelledError (partial results are discarded; the
   /// autotuner's single-flight keys are reclaimed, never poisoned).
   ///
   /// \p WarmStartPolicy, when non-null and non-empty, is a serialized
@@ -171,41 +165,28 @@ public:
                           const std::string *WarmStartPolicy = nullptr,
                           const std::string &GpuType = "A100-SIM") const;
 
-  /// Plays the assembly game on an already-built kernel (the inner
-  /// level only; used when the configuration is fixed). \p Context,
-  /// when non-null, overrides GameConfig::Context for every game
-  /// (optimize() builds it from the workload identity when
-  /// ConditionEmbedding is set).
-  OptimizeResult optimizeSchedule(gpusim::Gpu &Device,
-                                  const kernels::BuiltKernel &Kernel,
-                                  Rng &DataRng,
-                                  const support::CancelToken *Cancel =
-                                      nullptr,
-                                  const std::string *WarmStartPolicy =
-                                      nullptr,
-                                  const env::WorkloadContext *Context =
-                                      nullptr) const;
-
-  /// Shared cross-kernel training (the generalist policy): autotunes
-  /// and compiles every request, then trains ONE conditioned policy
-  /// over the union of their env pools with a size curriculum — phases
-  /// ordered by compiled program size ascending, phase p training on
-  /// the cumulative pool of the p+1 smallest workloads, with the PPO
-  /// step budget (Ppo.TotalSteps) split evenly across phases and LR
-  /// annealing spanning the whole run. Every game embeds with the
-  /// conditioned observation format (workload one-hot + log-scaled
-  /// shape + \p GpuType) padded to the pool-wide operand-slot maximum,
-  /// so one net serves all. Greedy replay, best-schedule selection and
-  /// probabilistic testing then run per workload exactly as in
-  /// optimize(). Requests whose autotune sweep is invalid are excluded
-  /// from training and returned with AutotuneValid = false.
+  /// The optimizer proper: autotunes every request in one level-1
+  /// sweep, compiles each winner, then trains ONE policy over the
+  /// union of their env pools with a size curriculum — phases ordered
+  /// by compiled program size ascending, phase p training on the
+  /// cumulative pool of the p+1 smallest workloads, with the PPO step
+  /// budget (Ppo.TotalSteps) split evenly across phases and LR
+  /// annealing spanning the whole run. A single request is one phase
+  /// of Ppo.TotalSteps. With more than one request (or
+  /// ConditionEmbedding set) every game embeds with the conditioned
+  /// observation format (workload one-hot + log-scaled shape +
+  /// \p GpuType) padded to the pool-wide operand-slot maximum, so one
+  /// net serves all. Greedy replay, best-schedule selection,
+  /// probabilistic testing and substitution then run per workload.
+  /// Requests whose autotune sweep is invalid are excluded from
+  /// training and returned with AutotuneValid = false. Cancellation
+  /// and warm start behave as in optimize().
   ///
-  /// Determinism matches optimize(): results are bit-identical for any
-  /// RolloutWorkers value.
+  /// Results are bit-identical for any RolloutWorkers value.
   MultiOptimizeResult
   optimizeMany(gpusim::Gpu &Device,
-               const std::vector<WorkloadRequest> &Requests, Rng &DataRng,
-               const support::CancelToken *Cancel = nullptr,
+               const std::vector<triton::SweepRequest> &Requests,
+               Rng &DataRng, const support::CancelToken *Cancel = nullptr,
                const std::string *WarmStartPolicy = nullptr,
                const std::string &GpuType = "A100-SIM") const;
 

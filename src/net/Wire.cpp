@@ -224,10 +224,10 @@ void putConfig(std::vector<uint8_t> &Out, const core::OptimizeConfig &C) {
 }
 
 core::OptimizeConfig takeConfig(Cursor &C) {
-  // Wall-clock-only knobs (RolloutWorkers, AutotuneWorkers, Ppo.
-  // Workers) and runtime wiring (SharedCache, PrivateDevice, Context)
-  // keep their server-side defaults: the client has no say over how
-  // the server spends its threads.
+  // Wall-clock-only knobs (RolloutWorkers, AutotuneWorkers) and
+  // runtime wiring (SharedCache, PrivateDevice, Context) keep their
+  // server-side defaults: the client has no say over how the server
+  // spends its threads.
   core::OptimizeConfig Cfg;
   uint32_t TableCount = C.u32();
   Cfg.Game.Table = analysis::StallTable::empty();
@@ -267,17 +267,30 @@ core::OptimizeConfig takeConfig(Cursor &C) {
   return Cfg;
 }
 
-/// The config field a job would divide by while it is zero, or null.
-/// A zero here would kill the serving process (integer division), not
-/// just fail the one job, so the decoder refuses it.
-const char *zeroDivisorField(const core::OptimizeConfig &Cfg) {
+/// Why \p Cfg would take down the serving process rather than fail
+/// one job, or empty: a zero divisor is an integer division by zero,
+/// and an env pool or net above its cap exhausts the process's memory.
+std::string unservableConfig(const core::OptimizeConfig &Cfg) {
+  auto Zero = [](const char *Field) {
+    return std::string("config field ") + Field + " must be nonzero";
+  };
+  auto Above = [](const char *Field, uint64_t Cap) {
+    return std::string("config field ") + Field + " exceeds " +
+           std::to_string(Cap);
+  };
   if (Cfg.Ppo.MiniBatches == 0)
-    return "Ppo.MiniBatches";
+    return Zero("Ppo.MiniBatches");
   if (Cfg.Game.Measure.RepeatIters == 0)
-    return "Game.Measure.RepeatIters";
+    return Zero("Game.Measure.RepeatIters");
   if (Cfg.AutotuneMeasure.RepeatIters == 0)
-    return "AutotuneMeasure.RepeatIters";
-  return nullptr;
+    return Zero("AutotuneMeasure.RepeatIters");
+  if (Cfg.NumEnvs > kMaxNumEnvs)
+    return Above("NumEnvs", kMaxNumEnvs);
+  if (Cfg.Ppo.Channels > kMaxPpoChannels)
+    return Above("Ppo.Channels", kMaxPpoChannels);
+  if (Cfg.Ppo.Hidden > kMaxPpoHidden)
+    return Above("Ppo.Hidden", kMaxPpoHidden);
+  return {};
 }
 
 } // namespace
@@ -383,8 +396,8 @@ net::decodeRequestPayload(const uint8_t *Data, size_t Size) {
   if (!C.ok())
     return Error("malformed request payload: " + C.error());
   if (R.Config)
-    if (const char *Field = zeroDivisorField(*R.Config))
-      return Error(std::string("config field ") + Field + " must be nonzero");
+    if (std::string Why = unservableConfig(*R.Config); !Why.empty())
+      return Error(Why);
   return R;
 }
 

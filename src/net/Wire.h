@@ -49,6 +49,15 @@ constexpr size_t kHeaderSize = 20;
 /// Default payload cap; generous against real cubins (a few KiB), hard
 /// against hostile length prefixes.
 constexpr uint32_t kMaxPayload = 16u << 20;
+/// Caps on the request config fields that size a job's memory: every
+/// env is an AssemblyGame with a private device copy, and the policy's
+/// weights grow with Channels^2 and Channels x Hidden. A request above
+/// a cap is refused at decode, since serving it would exhaust the
+/// daemon's memory rather than fail one job. Each cap is far above the
+/// largest value any caller uses (NumEnvs 4, Channels 16, Hidden 64).
+constexpr uint32_t kMaxNumEnvs = 64;
+constexpr uint64_t kMaxPpoChannels = 1024;
+constexpr uint64_t kMaxPpoHidden = 4096;
 
 enum class FrameType : uint16_t {
   Request = 1,

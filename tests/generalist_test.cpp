@@ -258,7 +258,7 @@ TEST(GeneralistTest, MixedKernelBatchBitIdenticalForAnyWorkerCount) {
 
 TEST(GeneralistTest, OptimizeManySharedPolicyDeterministic) {
   core::OptimizeConfig C = tinyConfig();
-  std::vector<core::WorkloadRequest> Requests;
+  std::vector<triton::SweepRequest> Requests;
   for (WorkloadKind Kind :
        {WorkloadKind::Softmax, WorkloadKind::MmLeakyRelu})
     Requests.push_back({Kind, kernels::testShape(Kind)});

@@ -376,8 +376,9 @@ Expected<OptimizeRequest> decodeWithConfig(const core::OptimizeConfig &Cfg) {
                               Frame.size() - kHeaderSize);
 }
 
-/// A zero in \p Field must fail the decode and name the field.
-void expectZeroRejected(const core::OptimizeConfig &Cfg,
+/// An unservable value in \p Field must fail the decode and name the
+/// field.
+void expectFieldRejected(const core::OptimizeConfig &Cfg,
                         const std::string &Field) {
   Expected<OptimizeRequest> D = decodeWithConfig(Cfg);
   ASSERT_FALSE(static_cast<bool>(D));
@@ -393,19 +394,51 @@ TEST(WireTest, ZeroPpoMiniBatchesIsRejected) {
   ASSERT_TRUE(static_cast<bool>(decodeWithConfig(tinyConfig())));
   core::OptimizeConfig Cfg = tinyConfig();
   Cfg.Ppo.MiniBatches = 0;
-  expectZeroRejected(Cfg, "Ppo.MiniBatches");
+  expectFieldRejected(Cfg, "Ppo.MiniBatches");
 }
 
 TEST(WireTest, ZeroGameRepeatItersIsRejected) {
   core::OptimizeConfig Cfg = tinyConfig();
   Cfg.Game.Measure.RepeatIters = 0;
-  expectZeroRejected(Cfg, "Game.Measure.RepeatIters");
+  expectFieldRejected(Cfg, "Game.Measure.RepeatIters");
 }
 
 TEST(WireTest, ZeroAutotuneRepeatItersIsRejected) {
   core::OptimizeConfig Cfg = tinyConfig();
   Cfg.AutotuneMeasure.RepeatIters = 0;
-  expectZeroRejected(Cfg, "AutotuneMeasure.RepeatIters");
+  expectFieldRejected(Cfg, "AutotuneMeasure.RepeatIters");
+}
+
+// Each of these sizes a job's memory: an oversized value would exhaust
+// the serving process. The cap itself is still accepted.
+TEST(WireTest, OversizedNumEnvsIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.NumEnvs = kMaxNumEnvs;
+  ASSERT_TRUE(static_cast<bool>(decodeWithConfig(Cfg)));
+  Cfg.NumEnvs = kMaxNumEnvs + 1;
+  expectFieldRejected(Cfg, "NumEnvs");
+  Cfg.NumEnvs = UINT32_MAX;
+  expectFieldRejected(Cfg, "NumEnvs");
+}
+
+TEST(WireTest, OversizedPpoChannelsIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.Ppo.Channels = kMaxPpoChannels;
+  ASSERT_TRUE(static_cast<bool>(decodeWithConfig(Cfg)));
+  Cfg.Ppo.Channels = kMaxPpoChannels + 1;
+  expectFieldRejected(Cfg, "Ppo.Channels");
+  Cfg.Ppo.Channels = size_t(1) << 16;
+  expectFieldRejected(Cfg, "Ppo.Channels");
+}
+
+TEST(WireTest, OversizedPpoHiddenIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.Ppo.Hidden = kMaxPpoHidden;
+  ASSERT_TRUE(static_cast<bool>(decodeWithConfig(Cfg)));
+  Cfg.Ppo.Hidden = kMaxPpoHidden + 1;
+  expectFieldRejected(Cfg, "Ppo.Hidden");
+  Cfg.Ppo.Hidden = SIZE_MAX;
+  expectFieldRejected(Cfg, "Ppo.Hidden");
 }
 
 TEST(WireTest, EveryTruncationOfAValidPayloadIsRejected) {
@@ -737,28 +770,46 @@ TEST(NetServerTest, ZeroDivisorConfigAnswersInvalidRequestThenServes) {
 
   RawConn C(*Port);
   ASSERT_TRUE(C.ok());
-  OptimizeRequest Bad = request(WorkloadKind::Softmax);
-  Bad.Config = tinyConfig();
-  Bad.Config->Ppo.MiniBatches = 0;
-  ASSERT_TRUE(C.sendBytes(encodeRequestFrame(Bad, 31)));
+  // A zero divisor and each oversized memory-sizing field: every one
+  // would take down the process if a job ran it.
+  const std::pair<const char *, void (*)(core::OptimizeConfig &)> Bad[] = {
+      {"Ppo.MiniBatches", [](core::OptimizeConfig &Cfg) {
+         Cfg.Ppo.MiniBatches = 0;
+       }},
+      {"NumEnvs", [](core::OptimizeConfig &Cfg) { Cfg.NumEnvs = UINT32_MAX; }},
+      {"Ppo.Channels", [](core::OptimizeConfig &Cfg) {
+         Cfg.Ppo.Channels = size_t(1) << 16;
+       }},
+      {"Ppo.Hidden", [](core::OptimizeConfig &Cfg) {
+         Cfg.Ppo.Hidden = kMaxPpoHidden + 1;
+       }},
+  };
   uint64_t Id = 0;
   WireResponse R;
-  ASSERT_TRUE(C.recvResponse(Id, R));
-  EXPECT_EQ(Id, 31u);
-  EXPECT_EQ(R.St, WireStatus::InvalidRequest);
-  EXPECT_NE(R.Error.find("Ppo.MiniBatches"), std::string::npos) << R.Error;
+  uint64_t NextId = 31;
+  for (const auto &[Field, Break] : Bad) {
+    OptimizeRequest Req = request(WorkloadKind::Softmax);
+    Req.Config = tinyConfig();
+    Break(*Req.Config);
+    ASSERT_TRUE(C.sendBytes(encodeRequestFrame(Req, NextId)));
+    ASSERT_TRUE(C.recvResponse(Id, R));
+    EXPECT_EQ(Id, NextId);
+    ++NextId;
+    EXPECT_EQ(R.St, WireStatus::InvalidRequest);
+    EXPECT_NE(R.Error.find(Field), std::string::npos) << R.Error;
+  }
 
   // The same connection, and the process, still serve a valid request.
   OptimizeRequest Good = request(WorkloadKind::Softmax);
   Good.Config = tinyConfig();
-  ASSERT_TRUE(C.sendBytes(encodeRequestFrame(Good, 32)));
+  ASSERT_TRUE(C.sendBytes(encodeRequestFrame(Good, NextId)));
   ASSERT_TRUE(C.recvResponse(Id, R));
-  EXPECT_EQ(Id, 32u);
+  EXPECT_EQ(Id, NextId);
   EXPECT_EQ(R.St, WireStatus::Optimized) << R.Error;
   EXPECT_TRUE(R.HasBinary);
 
   NetStats S = Srv.stats();
-  EXPECT_EQ(S.DecodeErrors, 1u);
+  EXPECT_EQ(S.DecodeErrors, std::size(Bad));
   EXPECT_EQ(S.RequestsSubmitted, 1u);
   Srv.stop();
   Service.shutdown();

@@ -385,14 +385,13 @@ TEST(PpoTest, CriticLearnsOptimalReturn) {
 
 namespace {
 
-PpoConfig rolloutTestConfig(unsigned Workers) {
+PpoConfig rolloutTestConfig() {
   PpoConfig C;
   C.TotalSteps = 256;
   C.RolloutLen = 32;
   C.Seed = 21;
   C.Channels = 4;
   C.Hidden = 16;
-  C.Workers = Workers;
   return C;
 }
 
@@ -404,7 +403,12 @@ TEST(RolloutTest, WorkerCountDoesNotChangeTrainingStats) {
   // of a full training run must be bit-identical at any worker count.
   auto Run = [](unsigned Workers) {
     BanditEnv E1, E2, E3, E4;
-    PpoTrainer T({&E1, &E2, &E3, &E4}, rolloutTestConfig(Workers));
+    PpoConfig C = rolloutTestConfig();
+    RolloutConfig RC;
+    RC.Workers = Workers;
+    RC.Seed = C.Seed;
+    RolloutRunner Runner({&E1, &E2, &E3, &E4}, RC);
+    PpoTrainer T(Runner, C);
     return T.train();
   };
   std::vector<UpdateStats> Serial = Run(1);
