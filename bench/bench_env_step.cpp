@@ -6,8 +6,10 @@
 //
 // Single-env step throughput of the assembly game on the GEMM and
 // attention kernels — the number that bounds rollout collection speed —
-// plus a per-phase breakdown (decode / execute / mask / hash / embed) so
-// the perf trajectory of each hot-path component is tracked across PRs.
+// plus a per-phase breakdown (decode / execute / mask / hash / embed, and
+// the policy network's forward and PPO training sample on the kernel's
+// observation) so the perf trajectory of each hot-path component is
+// tracked across revisions.
 //
 // Emits a machine-readable JSON report (see tools/run_benchmarks.py):
 //
@@ -20,6 +22,8 @@
 #include "BenchCommon.h"
 #include "env/AssemblyGame.h"
 #include "kernels/Builder.h"
+#include "rl/ActorCritic.h"
+#include "rl/Ppo.h"
 #include "sass/Parser.h"
 
 #include <chrono>
@@ -49,6 +53,8 @@ struct PhaseRates {
   double Embed = 0.0;       ///< Full observation rebuild.
   double Decode = 0.0;      ///< Pre-decoded kernel image build.
   double SimTimed = 0.0;    ///< One timed simulation (execute phase).
+  double PolicyForward = 0.0;     ///< ActorCritic::forward on one observation.
+  double PolicyTrainSample = 0.0; ///< Forward + PPO-loss backward, one sample.
 };
 
 struct KernelReport {
@@ -162,6 +168,53 @@ KernelReport benchKernel(WorkloadKind Kind, unsigned Steps, bool Paper) {
                                      gpusim::RunMode::Timed, Resident);
     Rep.Counters = R.Counters;
   });
+
+  // Policy network at the default NetConfig/PpoConfig width, on this
+  // kernel's observation: the layer that dominates a cold optimization
+  // job (rollout forwards, greedy replay and PPO updates).
+  std::vector<float> Obs = Embed.embed(Game.current());
+  std::vector<uint8_t> Mask = Game.actionMask();
+  rl::PpoConfig Ppo;
+  rl::NetConfig Net;
+  Net.Features = Embed.features();
+  Net.Length = Embed.rows();
+  Net.Actions = Mask.size();
+  Net.Channels = Ppo.Channels;
+  Net.Hidden = Ppo.Hidden;
+  Rng Init(3);
+  rl::ActorCritic Policy(Net, Init);
+  Rep.Phases.PolicyForward = rate(Budget, [&] {
+    rl::ActorCritic::Output Out = Policy.forward(Obs, Mask);
+    (void)Out;
+  });
+  unsigned Action = 0;
+  while (Action + 1 < Mask.size() && !Mask[Action])
+    ++Action;
+  float OldLogProb =
+      rl::gather(rl::logSoftmax(Policy.forward(Obs, Mask).MaskedLogits),
+                 Action)
+          .item();
+  std::vector<rl::Tensor> Params = Policy.parameters();
+  Rep.Phases.PolicyTrainSample = rate(Budget, [&] {
+    // A PPO-shaped sample loss (clipped surrogate + value + entropy
+    // terms, advantage 1 and return 0) and its backward.
+    rl::ActorCritic::Output Out = Policy.forward(Obs, Mask);
+    rl::Tensor LogP = rl::logSoftmax(Out.MaskedLogits);
+    rl::Tensor Ratio =
+        rl::expT(rl::scalarAdd(rl::gather(LogP, Action), -OldLogProb));
+    float Clip = static_cast<float>(Ppo.ClipCoef);
+    rl::Tensor PolicyLoss = rl::neg(
+        rl::minElem(Ratio, rl::clampRange(Ratio, 1.0f - Clip, 1.0f + Clip)));
+    rl::Tensor VLoss = rl::mul(Out.Value, Out.Value);
+    rl::Tensor Entropy = rl::neg(rl::sumT(rl::mul(rl::expT(LogP), LogP)));
+    rl::Tensor Loss = rl::add(
+        PolicyLoss,
+        rl::add(rl::scalarMul(VLoss, static_cast<float>(Ppo.VfCoef) * 0.5f),
+                rl::scalarMul(Entropy, -static_cast<float>(Ppo.EntCoef))));
+    for (rl::Tensor &P : Params)
+      P.zeroGrad();
+    Loss.backward();
+  });
   return Rep;
 }
 
@@ -182,6 +235,10 @@ stats::BenchReport buildReport(const std::vector<KernelReport> &Reports,
     Rep.addMetric(R.Name + ".phase.embed_full", R.Phases.Embed, "ops/s");
     Rep.addMetric(R.Name + ".phase.decode_full", R.Phases.Decode, "ops/s");
     Rep.addMetric(R.Name + ".phase.sim_timed", R.Phases.SimTimed, "ops/s");
+    Rep.addMetric(R.Name + ".phase.policy_forward", R.Phases.PolicyForward,
+                  "ops/s");
+    Rep.addMetric(R.Name + ".phase.policy_train_sample",
+                  R.Phases.PolicyTrainSample, "ops/s");
     Total += R.Counters;
 
     stats::JsonValue K = stats::JsonValue::object();
@@ -231,10 +288,12 @@ int main(int argc, char **argv) {
                 R.Name.c_str(), R.Steps, R.Seconds, R.StepsPerSec,
                 100.0 * R.CacheHitRate);
     std::printf("  phases/s: mask %.0f (fresh %.0f)  hash %.0f (fresh %.0f)"
-                "  embed %.0f  decode %.0f  sim %.0f\n",
+                "  embed %.0f  decode %.0f  sim %.0f\n"
+                "  policy/s: forward %.0f  train sample %.0f\n",
                 R.Phases.MaskCached, R.Phases.MaskFresh, R.Phases.HashKey,
                 R.Phases.HashFresh, R.Phases.Embed, R.Phases.Decode,
-                R.Phases.SimTimed);
+                R.Phases.SimTimed, R.Phases.PolicyForward,
+                R.Phases.PolicyTrainSample);
     Reports.push_back(std::move(R));
   }
 

@@ -336,51 +336,117 @@ Tensor rl::linear(const Tensor &W, const Tensor &X, const Tensor &B) {
   return Tensor(N);
 }
 
+namespace {
+
+/// Output positions [Lo, Hi) whose tap \p T reads an in-bounds input
+/// (input position P + T - Pad in [0, L)). Empty (Lo >= Hi) when the tap
+/// misses every position, e.g. an outer tap of a program shorter than
+/// the kernel's half-width.
+struct TapSpan {
+  size_t Lo, Hi;
+};
+
+TapSpan tapSpan(size_t T, size_t Pad, size_t L) {
+  size_t Lo = T < Pad ? Pad - T : 0;
+  size_t Shift = T > Pad ? T - Pad : 0;
+  size_t Hi = Shift < L ? L - Shift : 0;
+  return {Lo, Hi};
+}
+
+} // namespace
+
+// Summation order is part of conv1d's contract (docs/TRAINING.md): every
+// output element receives its bias, then its (C, T) terms in ascending
+// order; every weight and bias gradient element receives its terms in
+// ascending P; every input gradient element receives its terms in
+// ascending (O, P). The loops are arranged so each innermost loop runs
+// over a clamped range without a bounds branch, never by reordering
+// the sum of any one element.
 Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B) {
   assert(X.shape().size() == 2 && W.shape().size() == 3);
   size_t Cin = X.shape()[0], L = X.shape()[1];
   size_t Cout = W.shape()[0], K = W.shape()[2];
   assert(W.shape()[1] == Cin && B.size() == Cout && K % 2 == 1);
-  long Pad = static_cast<long>(K / 2);
+  size_t Pad = K / 2;
 
   auto N = makeNode({Cout, L}, {X.node(), W.node(), B.node()});
   for (size_t O = 0; O < Cout; ++O) {
-    for (size_t P = 0; P < L; ++P) {
-      float Acc = B.data()[O];
-      for (size_t C = 0; C < Cin; ++C) {
-        const float *XRow = X.data().data() + C * L;
-        const float *WRow = W.data().data() + (O * Cin + C) * K;
-        for (size_t T = 0; T < K; ++T) {
-          long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
-          if (Pos >= 0 && Pos < static_cast<long>(L))
-            Acc += WRow[T] * XRow[Pos];
-        }
+    float *Out = N->Data.data() + O * L;
+    std::fill(Out, Out + L, B.data()[O]);
+    for (size_t C = 0; C < Cin; ++C) {
+      const float *XRow = X.data().data() + C * L;
+      const float *WRow = W.data().data() + (O * Cin + C) * K;
+      for (size_t T = 0; T < K; ++T) {
+        TapSpan Span = tapSpan(T, Pad, L);
+        if (Span.Lo >= Span.Hi)
+          continue;
+        float Wt = WRow[T];
+        float *Dst = Out + Span.Lo;
+        const float *Src = XRow + (Span.Lo + T - Pad);
+        for (size_t I = 0, E = Span.Hi - Span.Lo; I < E; ++I)
+          Dst[I] += Wt * Src[I];
       }
-      N->Data[O * L + P] = Acc;
     }
   }
   auto Xn = X.node(), Wn = W.node(), Bn = B.node();
   std::weak_ptr<TensorNode> Self = N;
   N->Backward = [Xn, Wn, Bn, Self, Cin, Cout, L, K, Pad] {
     auto S = Self.lock();
+    // Weight and bias gradients: P ascending outside T and C, with the
+    // valid taps of each P clamped once. The weight gradient is summed in
+    // a [O, T, C] copy that starts from its current values, against a
+    // [L, C] copy of the input, so the innermost loop runs over
+    // contiguous channels; each element still gets its terms in P order.
+    std::vector<float> XT(L * Cin), WG(Cout * K * Cin);
+    for (size_t C = 0; C < Cin; ++C)
+      for (size_t Q = 0; Q < L; ++Q)
+        XT[Q * Cin + C] = Xn->Data[C * L + Q];
+    for (size_t O = 0; O < Cout; ++O)
+      for (size_t C = 0; C < Cin; ++C)
+        for (size_t T = 0; T < K; ++T)
+          WG[(O * K + T) * Cin + C] = Wn->Grad[(O * Cin + C) * K + T];
     for (size_t O = 0; O < Cout; ++O) {
       for (size_t P = 0; P < L; ++P) {
         float G = S->Grad[O * L + P];
         if (G == 0.0f)
           continue;
         Bn->Grad[O] += G;
-        for (size_t C = 0; C < Cin; ++C) {
-          float *XGrad = Xn->Grad.data() + C * L;
-          const float *XRow = Xn->Data.data() + C * L;
-          float *WGrad = Wn->Grad.data() + (O * Cin + C) * K;
-          const float *WRow = Wn->Data.data() + (O * Cin + C) * K;
-          for (size_t T = 0; T < K; ++T) {
-            long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
-            if (Pos >= 0 && Pos < static_cast<long>(L)) {
-              WGrad[T] += G * XRow[Pos];
-              XGrad[Pos] += G * WRow[T];
-            }
-          }
+        size_t TLo = P < Pad ? Pad - P : 0;
+        size_t THi = std::min(K, L - P + Pad);
+        for (size_t T = TLo; T < THi; ++T) {
+          float *Dst = WG.data() + (O * K + T) * Cin;
+          const float *Src = XT.data() + (P + T - Pad) * Cin;
+          for (size_t C = 0; C < Cin; ++C)
+            Dst[C] += G * Src[C];
+        }
+      }
+    }
+    for (size_t O = 0; O < Cout; ++O)
+      for (size_t C = 0; C < Cin; ++C)
+        for (size_t T = 0; T < K; ++T)
+          Wn->Grad[(O * Cin + C) * K + T] = WG[(O * K + T) * Cin + C];
+    // Input gradient (skipped for inputs that take none, such as the
+    // observation): T descending outside P, so each input position still
+    // receives its terms in ascending P. Zero-gradient terms are added
+    // rather than skipped: with finite weights that adds +-0, and
+    // x + (+-0) == x for every gradient, since a sum of floats started
+    // at +0 is never -0.
+    if (!Xn->RequiresGrad)
+      return;
+    for (size_t O = 0; O < Cout; ++O) {
+      const float *GRow = S->Grad.data() + O * L;
+      for (size_t C = 0; C < Cin; ++C) {
+        float *XGrad = Xn->Grad.data() + C * L;
+        const float *WRow = Wn->Data.data() + (O * Cin + C) * K;
+        for (size_t T = K; T-- > 0;) {
+          TapSpan Span = tapSpan(T, Pad, L);
+          if (Span.Lo >= Span.Hi)
+            continue;
+          float Wt = WRow[T];
+          float *Dst = XGrad + (Span.Lo + T - Pad);
+          const float *Src = GRow + Span.Lo;
+          for (size_t I = 0, E = Span.Hi - Span.Lo; I < E; ++I)
+            Dst[I] += Src[I] * Wt;
         }
       }
     }

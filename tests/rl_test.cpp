@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -114,6 +116,177 @@ TEST(Autograd, Conv1dFiniteDiff) {
     checkGradient(W, I, Build);
   for (size_t I = 0; I < X.size(); ++I)
     checkGradient(X, I, Build);
+}
+
+namespace {
+
+/// Forward output and W/B/X gradients of one conv1d call.
+struct ConvResult {
+  std::vector<float> Out, WGrad, BGrad, XGrad;
+};
+
+/// The scalar same-padded conv1d the library kernel must match bit for
+/// bit: a bounds branch per tap, one element's whole sum at a time.
+/// \p G is the upstream gradient of the [Cout, L] output; the W/B/X
+/// gradients accumulate onto those of \p Start.
+ConvResult scalarConv1d(const std::vector<float> &X,
+                        const std::vector<float> &W,
+                        const std::vector<float> &B,
+                        const std::vector<float> &G, const ConvResult &Start,
+                        size_t Cin, size_t Cout, size_t K, size_t L) {
+  ConvResult R = Start;
+  R.Out.assign(Cout * L, 0.0f);
+  long Pad = static_cast<long>(K / 2);
+  for (size_t O = 0; O < Cout; ++O) {
+    for (size_t P = 0; P < L; ++P) {
+      float Acc = B[O];
+      for (size_t C = 0; C < Cin; ++C) {
+        const float *XRow = X.data() + C * L;
+        const float *WRow = W.data() + (O * Cin + C) * K;
+        for (size_t T = 0; T < K; ++T) {
+          long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
+          if (Pos >= 0 && Pos < static_cast<long>(L))
+            Acc += WRow[T] * XRow[Pos];
+        }
+      }
+      R.Out[O * L + P] = Acc;
+    }
+  }
+  for (size_t O = 0; O < Cout; ++O) {
+    for (size_t P = 0; P < L; ++P) {
+      float Gv = G[O * L + P];
+      if (Gv == 0.0f)
+        continue;
+      R.BGrad[O] += Gv;
+      for (size_t C = 0; C < Cin; ++C) {
+        float *XGrad = R.XGrad.data() + C * L;
+        const float *XRow = X.data() + C * L;
+        float *WGrad = R.WGrad.data() + (O * Cin + C) * K;
+        const float *WRow = W.data() + (O * Cin + C) * K;
+        for (size_t T = 0; T < K; ++T) {
+          long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
+          if (Pos >= 0 && Pos < static_cast<long>(L)) {
+            WGrad[T] += Gv * XRow[Pos];
+            XGrad[Pos] += Gv * WRow[T];
+          }
+        }
+      }
+    }
+  }
+  return R;
+}
+
+std::vector<float> uniformFloats(Rng &R, size_t N) {
+  std::vector<float> V(N);
+  for (float &F : V)
+    F = static_cast<float>(R.uniformReal(-1.0, 1.0));
+  return V;
+}
+
+bool sameBits(const std::vector<float> &A, const std::vector<float> &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(float)) == 0;
+}
+
+/// Runs the library conv1d on fresh tensors whose gradients hold those
+/// of \p Start (as after earlier samples of a minibatch), and
+/// backpropagates a loss whose upstream gradient passes through relu, so
+/// it holds exact zeros. \returns the op's results and, in \p Upstream,
+/// the gradient that reached the conv output.
+ConvResult libraryConv1d(const std::vector<float> &X,
+                         const std::vector<float> &W,
+                         const std::vector<float> &B,
+                         const std::vector<float> &Scale,
+                         const ConvResult &Start, size_t Cin, size_t Cout,
+                         size_t K, size_t L, bool XRequiresGrad,
+                         std::vector<float> &Upstream) {
+  Tensor Xt = Tensor::fromVector(X, {Cin, L}, XRequiresGrad);
+  Tensor Wt = Tensor::fromVector(W, {Cout, Cin, K}, true);
+  Tensor Bt = Tensor::fromVector(B, {Cout}, true);
+  Xt.grad() = Start.XGrad;
+  Wt.grad() = Start.WGrad;
+  Bt.grad() = Start.BGrad;
+  Tensor Y = conv1d(Xt, Wt, Bt);
+  Tensor S = Tensor::fromVector(Scale, {Cout, L});
+  sumT(mul(relu(Y), S)).backward();
+  Upstream = Y.grad();
+  return {Y.data(), Wt.grad(), Bt.grad(), Xt.grad()};
+}
+
+/// Starting gradients for a conv of this geometry: all +0, or (when
+/// \p Seeded) random values.
+ConvResult startGrads(Rng &R, bool Seeded, size_t Cin, size_t Cout,
+                      size_t K, size_t L) {
+  ConvResult S;
+  if (Seeded) {
+    S.WGrad = uniformFloats(R, Cout * Cin * K);
+    S.BGrad = uniformFloats(R, Cout);
+    S.XGrad = uniformFloats(R, Cin * L);
+  } else {
+    S.WGrad.assign(Cout * Cin * K, 0.0f);
+    S.BGrad.assign(Cout, 0.0f);
+    S.XGrad.assign(Cin * L, 0.0f);
+  }
+  return S;
+}
+
+} // namespace
+
+TEST(Autograd, Conv1dMatchesScalarReference) {
+  Rng R(20);
+  unsigned Cases = 0;
+  size_t ZeroUpstream = 0, NonZeroUpstream = 0;
+  for (size_t Cin : {1u, 17u})
+    for (size_t Cout : {1u, 16u})
+      for (size_t K : {1u, 3u, 5u, 7u})
+        for (size_t L : {1u, 2u, 3u, 5u, 72u, 130u}) {
+          SCOPED_TRACE(testing::Message() << "Cin " << Cin << " Cout "
+                                          << Cout << " K " << K << " L "
+                                          << L);
+          std::vector<float> X = uniformFloats(R, Cin * L);
+          std::vector<float> W = uniformFloats(R, Cout * Cin * K);
+          std::vector<float> B = uniformFloats(R, Cout);
+          std::vector<float> Scale = uniformFloats(R, Cout * L);
+          // Every other case accumulates onto nonzero gradients.
+          ConvResult Start =
+              startGrads(R, /*Seeded=*/Cases % 2 == 1, Cin, Cout, K, L);
+          std::vector<float> Upstream;
+          ConvResult Lib = libraryConv1d(X, W, B, Scale, Start, Cin, Cout, K,
+                                         L, /*XRequiresGrad=*/true, Upstream);
+          ConvResult Ref =
+              scalarConv1d(X, W, B, Upstream, Start, Cin, Cout, K, L);
+          EXPECT_TRUE(sameBits(Lib.Out, Ref.Out)) << "forward output";
+          EXPECT_TRUE(sameBits(Lib.WGrad, Ref.WGrad)) << "weight gradient";
+          EXPECT_TRUE(sameBits(Lib.BGrad, Ref.BGrad)) << "bias gradient";
+          EXPECT_TRUE(sameBits(Lib.XGrad, Ref.XGrad)) << "input gradient";
+          for (float G : Upstream)
+            ++(G == 0.0f ? ZeroUpstream : NonZeroUpstream);
+          ++Cases;
+        }
+  EXPECT_EQ(Cases, 96u);
+  // Both the skipped (zero) and the accumulated upstream paths ran.
+  EXPECT_GT(ZeroUpstream, 0u);
+  EXPECT_GT(NonZeroUpstream, 0u);
+}
+
+TEST(Autograd, Conv1dInputWithoutGradStaysZero) {
+  Rng R(21);
+  size_t Cin = 17, Cout = 16, K = 5, L = 72;
+  std::vector<float> X = uniformFloats(R, Cin * L);
+  std::vector<float> W = uniformFloats(R, Cout * Cin * K);
+  std::vector<float> B = uniformFloats(R, Cout);
+  std::vector<float> Scale = uniformFloats(R, Cout * L);
+  ConvResult Start = startGrads(R, /*Seeded=*/false, Cin, Cout, K, L);
+  std::vector<float> UpWith, UpWithout;
+  ConvResult With = libraryConv1d(X, W, B, Scale, Start, Cin, Cout, K, L,
+                                  /*XRequiresGrad=*/true, UpWith);
+  ConvResult Without = libraryConv1d(X, W, B, Scale, Start, Cin, Cout, K,
+                                     L, /*XRequiresGrad=*/false, UpWithout);
+  EXPECT_TRUE(sameBits(Without.XGrad, std::vector<float>(Cin * L, 0.0f)));
+  EXPECT_TRUE(sameBits(Without.WGrad, With.WGrad));
+  EXPECT_TRUE(sameBits(Without.BGrad, With.BGrad));
+  EXPECT_TRUE(std::any_of(With.XGrad.begin(), With.XGrad.end(),
+                          [](float V) { return V != 0.0f; }));
 }
 
 TEST(Autograd, PoolingFiniteDiff) {
