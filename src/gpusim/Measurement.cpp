@@ -28,31 +28,52 @@ Measurement gpusim::measureKernel(Gpu &Device, const sass::Program &Prog,
                                   const MeasureConfig &Config) {
   Measurement Out;
   Rng Noise(Config.Seed);
+  auto Run = [&] {
+    return Device.run(Prog, Decoded, Launch, RunMode::Timed, Config.MaxBlocks);
+  };
 
-  // Warmup: primes the caches exactly like the paper's 100 warmup
-  // iterations prime the real GPU's clocks and TLBs.
-  for (unsigned I = 0; I < Config.WarmupIters; ++I) {
-    RunResult R =
-        Device.run(Prog, Decoded, Launch, RunMode::Timed, Config.MaxBlocks);
-    if (!R.Valid) {
-      Out.Valid = false;
-      Out.FaultReason = R.FaultReason;
-      return Out;
+  // With caches cleared before every rep, the deterministic simulator
+  // runs each rep from the same state (the kernel is idempotent over
+  // global memory, docs/SIMULATOR.md): no warmup can reach a rep, and
+  // every rep repeats the first. So the kernel is simulated once and
+  // each rep's jitter draw applies to that run. Without clearing, the
+  // warmups prime the caches exactly like the paper's 100 warmup
+  // iterations prime the real GPU's clocks and TLBs, and each rep runs.
+  if (!Config.ClearL2BetweenReps) {
+    for (unsigned I = 0; I < Config.WarmupIters; ++I) {
+      RunResult R = Run();
+      if (!R.Valid) {
+        Out.Valid = false;
+        Out.FaultReason = R.FaultReason;
+        return Out;
+      }
     }
   }
 
   double Sum = 0.0, SumSq = 0.0;
   uint64_t CycleSum = 0;
+  RunResult R;
   for (unsigned I = 0; I < Config.RepeatIters; ++I) {
-    if (Config.ClearL2BetweenReps)
-      Device.clearCaches();
-    RunResult R =
-        Device.run(Prog, Decoded, Launch, RunMode::Timed, Config.MaxBlocks);
-    if (!R.Valid) {
-      Out.Valid = false;
-      Out.FaultReason = R.FaultReason;
-      return Out;
+    if (!Config.ClearL2BetweenReps || I == 0) {
+      if (Config.ClearL2BetweenReps)
+        Device.clearCaches();
+      R = Run();
+      if (!R.Valid) {
+        Out.Valid = false;
+        Out.FaultReason = R.FaultReason;
+        return Out;
+      }
     }
+#ifndef NDEBUG
+    if (Config.ClearL2BetweenReps && I == 1) {
+      // The precondition the single simulation rests on.
+      Device.clearCaches();
+      RunResult Again = Run();
+      assert(Again.Valid && Again.TimeUs == R.TimeUs &&
+             Again.Cycles == R.Cycles &&
+             "measured kernel is not idempotent over global memory");
+    }
+#endif
     double Jitter = 1.0 + Noise.normal(0.0, Config.NoiseStddev);
     double TimeUs = R.TimeUs * Jitter;
     Sum += TimeUs;

@@ -56,7 +56,11 @@ struct Measurement {
 
 /// Times \p Prog on \p Device with the paper's warmup/repeat protocol.
 /// Decodes the program into a kernel image once, then reuses it across
-/// every warmup/repeat run.
+/// every run. With Config.ClearL2BetweenReps set, the kernel is
+/// simulated once and each rep's jitter applies to that run (no
+/// warmup can reach a cache-cleared rep); this requires the kernel to
+/// be idempotent over global memory (docs/SIMULATOR.md), which debug
+/// builds assert.
 ///
 /// Thread-safety: mutates \p Device (memory, cache state) — callers
 /// running concurrently must each own their device; concurrent calls

@@ -290,6 +290,14 @@ std::string unservableConfig(const core::OptimizeConfig &Cfg) {
     return Above("Ppo.Channels", kMaxPpoChannels);
   if (Cfg.Ppo.Hidden > kMaxPpoHidden)
     return Above("Ppo.Hidden", kMaxPpoHidden);
+  if (Cfg.Game.Measure.WarmupIters > kMaxMeasureIters)
+    return Above("Game.Measure.WarmupIters", kMaxMeasureIters);
+  if (Cfg.Game.Measure.RepeatIters > kMaxMeasureIters)
+    return Above("Game.Measure.RepeatIters", kMaxMeasureIters);
+  if (Cfg.AutotuneMeasure.WarmupIters > kMaxMeasureIters)
+    return Above("AutotuneMeasure.WarmupIters", kMaxMeasureIters);
+  if (Cfg.AutotuneMeasure.RepeatIters > kMaxMeasureIters)
+    return Above("AutotuneMeasure.RepeatIters", kMaxMeasureIters);
   return {};
 }
 

@@ -58,6 +58,11 @@ constexpr uint32_t kMaxPayload = 16u << 20;
 constexpr uint32_t kMaxNumEnvs = 64;
 constexpr uint64_t kMaxPpoChannels = 1024;
 constexpr uint64_t kMaxPpoHidden = 4096;
+/// Cap on WarmupIters and RepeatIters of both measure configs: a job
+/// draws one jitter value per rep and counts both per measurement, so
+/// a value near 2^32 ties up a worker and wraps the execution count.
+/// The largest value any caller uses is 100 (the full-mode benches).
+constexpr uint32_t kMaxMeasureIters = 1000;
 
 enum class FrameType : uint16_t {
   Request = 1,
@@ -138,7 +143,7 @@ std::vector<uint8_t> encodeResponseFrame(const WireResponse &R,
 /// value or trailing byte is an error. A request config whose
 /// Ppo.MiniBatches, Game.Measure.RepeatIters or
 /// AutotuneMeasure.RepeatIters is zero is an error too: a job divides
-/// by each of them.
+/// by each of them. So is a config above one of the caps above.
 Expected<serve::OptimizeRequest> decodeRequestPayload(const uint8_t *Data,
                                                       size_t Size);
 Expected<WireResponse> decodeResponsePayload(const uint8_t *Data,

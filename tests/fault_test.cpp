@@ -27,6 +27,8 @@
 #include "triton/DeployCache.h"
 #include "triton/Pipeline.h"
 
+#include "TestTemp.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -43,9 +45,7 @@ namespace {
 struct TempDir {
   std::string Path;
   explicit TempDir(const std::string &Name)
-      : Path((std::filesystem::temp_directory_path() / Name).string()) {
-    std::filesystem::remove_all(Path);
-  }
+      : Path(testing_support::freshTempPath(Name)) {}
   ~TempDir() { std::filesystem::remove_all(Path); }
 };
 

@@ -22,6 +22,8 @@
 #include "serve/OptimizationService.h"
 #include "serve/PolicyStore.h"
 
+#include "TestTemp.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -73,10 +75,7 @@ core::OptimizeConfig tinyConfig() {
 }
 
 std::string freshDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  return Dir;
+  return testing_support::freshTempPath(Name);
 }
 
 } // namespace

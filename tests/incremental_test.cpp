@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace cuasmrl;
 using namespace cuasmrl::env;
@@ -353,4 +354,132 @@ TEST(TraceGateTest, DisabledTraceRecordsNothingAndTogglesBack) {
   StepOnce();
   ASSERT_EQ(Game.trace().size(), 1u);
   EXPECT_FALSE(Game.trace()[0].MovedText.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// One simulation per measurement vs the warmup/repeat loop
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// measureKernel as it was before a cache-cleared measurement ran one
+/// simulation: every warmup and every rep simulated. The reference the
+/// single-simulation loop must match bit for bit.
+gpusim::Measurement referenceMeasure(gpusim::Gpu &Device,
+                                     const sass::Program &Prog,
+                                     const gpusim::DecodedProgram &Decoded,
+                                     const gpusim::KernelLaunch &Launch,
+                                     const gpusim::MeasureConfig &Config) {
+  gpusim::Measurement Out;
+  Rng Noise(Config.Seed);
+  for (unsigned I = 0; I < Config.WarmupIters; ++I) {
+    gpusim::RunResult R = Device.run(Prog, Decoded, Launch,
+                                     gpusim::RunMode::Timed, Config.MaxBlocks);
+    if (!R.Valid) {
+      Out.Valid = false;
+      Out.FaultReason = R.FaultReason;
+      return Out;
+    }
+  }
+  double Sum = 0.0, SumSq = 0.0;
+  uint64_t CycleSum = 0;
+  for (unsigned I = 0; I < Config.RepeatIters; ++I) {
+    if (Config.ClearL2BetweenReps)
+      Device.clearCaches();
+    gpusim::RunResult R = Device.run(Prog, Decoded, Launch,
+                                     gpusim::RunMode::Timed, Config.MaxBlocks);
+    if (!R.Valid) {
+      Out.Valid = false;
+      Out.FaultReason = R.FaultReason;
+      return Out;
+    }
+    double Jitter = 1.0 + Noise.normal(0.0, Config.NoiseStddev);
+    double TimeUs = R.TimeUs * Jitter;
+    Sum += TimeUs;
+    SumSq += TimeUs * TimeUs;
+    CycleSum += R.Cycles;
+    Out.Counters = R.Counters;
+  }
+  unsigned N = Config.RepeatIters;
+  Out.MeanUs = Sum / N;
+  double Var = SumSq / N - Out.MeanUs * Out.MeanUs;
+  Out.StddevUs = Var > 0 ? std::sqrt(Var) : 0.0;
+  Out.Cycles = CycleSum / N;
+  return Out;
+}
+
+uint64_t bitsOf(double V) {
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof(B));
+  return B;
+}
+
+void expectSameMeasurement(const gpusim::Measurement &Ref,
+                           const gpusim::Measurement &Got) {
+  EXPECT_EQ(Ref.Valid, Got.Valid);
+  EXPECT_EQ(Ref.FaultReason, Got.FaultReason);
+  EXPECT_EQ(bitsOf(Ref.MeanUs), bitsOf(Got.MeanUs));
+  EXPECT_EQ(bitsOf(Ref.StddevUs), bitsOf(Got.StddevUs));
+  EXPECT_EQ(Ref.Cycles, Got.Cycles);
+  gpusim::visitCounterFields(
+      Ref.Counters, Got.Counters,
+      [](const char *Name, const uint64_t &A, const uint64_t &B) {
+        EXPECT_EQ(A, B) << Name;
+      });
+}
+
+} // namespace
+
+TEST(MeasureDifferentialTest, SingleSimulationMatchesWarmupRepeatLoop) {
+  struct Protocol {
+    unsigned Warmup, Repeat;
+    bool ClearL2;
+  };
+  const Protocol Protocols[] = {
+      {0, 1, true}, {1, 1, true}, {2, 3, true}, {2, 3, false}};
+  unsigned Compared = 0;
+  for (WorkloadKind Kind : kernels::allWorkloads()) {
+    SCOPED_TRACE(kernels::workloadName(Kind));
+    GameFixture F(Kind);
+    F.Config.EpisodeLength = 1000;
+    // Warm caches on the device every measurement starts from, so a
+    // skipped warmup or an uncleared rep would show.
+    F.Device.run(F.Kernel.Prog, F.Kernel.Launch, gpusim::RunMode::Timed, 2);
+    AssemblyGame Game(F.Device, F.Kernel, F.Config);
+    Rng Walk(31 + static_cast<uint64_t>(Kind));
+    Game.reset();
+    for (int Step = 0; Step <= 6; ++Step) {
+      if (Step % 3 == 0) {
+        gpusim::DecodedProgram Decoded(Game.current());
+        for (const Protocol &P : Protocols) {
+          SCOPED_TRACE(testing::Message()
+                       << "step " << Step << " warmup " << P.Warmup
+                       << " repeat " << P.Repeat << " clear " << P.ClearL2);
+          gpusim::MeasureConfig MC;
+          MC.WarmupIters = P.Warmup;
+          MC.RepeatIters = P.Repeat;
+          MC.ClearL2BetweenReps = P.ClearL2;
+          MC.MaxBlocks = 2;
+          MC.Seed = Walk.next();
+          gpusim::Gpu RefDevice = F.Device, NewDevice = F.Device;
+          gpusim::Measurement Ref = referenceMeasure(
+              RefDevice, Game.current(), Decoded, F.Kernel.Launch, MC);
+          gpusim::Measurement Got = gpusim::measureKernel(
+              NewDevice, Game.current(), Decoded, F.Kernel.Launch, MC);
+          ASSERT_TRUE(Ref.Valid);
+          expectSameMeasurement(Ref, Got);
+          ++Compared;
+        }
+      }
+      std::vector<uint8_t> Mask = Game.actionMask();
+      std::vector<unsigned> Legal;
+      for (unsigned A = 0; A < Mask.size(); ++A)
+        if (Mask[A])
+          Legal.push_back(A);
+      if (Legal.empty())
+        break;
+      ASSERT_FALSE(Game.step(Legal[Walk.uniformInt(Legal.size())]).Invalid);
+    }
+  }
+  EXPECT_EQ(Compared, 6u * 3u * 4u);
 }

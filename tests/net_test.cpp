@@ -26,6 +26,8 @@
 #include "support/Clock.h"
 #include "support/FileLock.h"
 
+#include "TestTemp.h"
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -87,10 +89,7 @@ OptimizeRequest request(WorkloadKind Kind, unsigned Rows = 0) {
 }
 
 std::string freshDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  return Dir;
+  return testing_support::freshTempPath(Name);
 }
 
 /// Bit-identity of everything deterministic on a response. WallMs is
@@ -439,6 +438,41 @@ TEST(WireTest, OversizedPpoHiddenIsRejected) {
   expectFieldRejected(Cfg, "Ppo.Hidden");
   Cfg.Ppo.Hidden = SIZE_MAX;
   expectFieldRejected(Cfg, "Ppo.Hidden");
+}
+
+// A job draws one jitter value per rep and counts warmups plus reps
+// per measurement, so a huge count ties up a worker and wraps the
+// count. Both measure configs are capped; the cap itself is accepted.
+TEST(WireTest, OversizedMeasureItersIsRejected) {
+  using Setter = void (*)(core::OptimizeConfig &, uint32_t);
+  const std::pair<const char *, Setter> Fields[] = {
+      {"Game.Measure.WarmupIters",
+       [](core::OptimizeConfig &C, uint32_t V) {
+         C.Game.Measure.WarmupIters = V;
+       }},
+      {"Game.Measure.RepeatIters",
+       [](core::OptimizeConfig &C, uint32_t V) {
+         C.Game.Measure.RepeatIters = V;
+       }},
+      {"AutotuneMeasure.WarmupIters",
+       [](core::OptimizeConfig &C, uint32_t V) {
+         C.AutotuneMeasure.WarmupIters = V;
+       }},
+      {"AutotuneMeasure.RepeatIters",
+       [](core::OptimizeConfig &C, uint32_t V) {
+         C.AutotuneMeasure.RepeatIters = V;
+       }},
+  };
+  for (const auto &[Name, Set] : Fields) {
+    SCOPED_TRACE(Name);
+    core::OptimizeConfig Cfg = tinyConfig();
+    Set(Cfg, kMaxMeasureIters);
+    ASSERT_TRUE(static_cast<bool>(decodeWithConfig(Cfg)));
+    Set(Cfg, kMaxMeasureIters + 1);
+    expectFieldRejected(Cfg, Name);
+    Set(Cfg, UINT32_MAX);
+    expectFieldRejected(Cfg, Name);
+  }
 }
 
 TEST(WireTest, EveryTruncationOfAValidPayloadIsRejected) {

@@ -14,6 +14,8 @@
 #include "triton/Pipeline.h"
 #include "kernels/Generators.h"
 
+#include "TestTemp.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -314,10 +316,7 @@ TEST(PipelineTest, ProbabilisticTestRejectsCorruptSchedule) {
 //===----------------------------------------------------------------------===//
 
 TEST(DeployCacheTest, StoreAndLookup) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_test")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_cache_test");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -347,10 +346,7 @@ TEST(DeployCacheTest, MissingKeyReturnsNothing) {
 }
 
 TEST(DeployCacheTest, LoadRejectsCorruptFile) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_corrupt")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_cache_corrupt");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -375,10 +371,7 @@ TEST(DeployCacheTest, LoadRejectsCorruptFile) {
 }
 
 TEST(DeployCacheTest, StoreLeavesOnlyTheFinalFile) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_atomic")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_cache_atomic");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -399,10 +392,7 @@ TEST(DeployCacheTest, StoreLeavesOnlyTheFinalFile) {
 }
 
 TEST(DeployCacheTest, ConcurrentStoresOfOneKeyStayComplete) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_race")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_cache_race");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -452,10 +442,7 @@ TEST(DeployCacheTest, MakeKeySanitizesHostileComponents) {
     EXPECT_EQ(Key.find(C), std::string::npos) << "char: " << C;
   // ...and the dot-dot components are neutralized by the '/'
   // replacement (no path separator survives to resurrect them).
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_hostile")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_cache_hostile");
   triton::DeployCache Cache(Dir);
   gpusim::Gpu Device;
   Rng DataRng(3);
@@ -476,10 +463,7 @@ TEST(DeployCacheTest, MakeKeySanitizesHostileComponents) {
 }
 
 TEST(DeployCacheTest, KeysEnumeratesStoredKeysSorted) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_keys")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_cache_keys");
   triton::DeployCache Cache(Dir);
   EXPECT_TRUE(Cache.keys().empty()); // Missing directory: empty, no throw.
 
@@ -497,10 +481,7 @@ TEST(DeployCacheTest, KeysEnumeratesStoredKeysSorted) {
 TEST(DeployCacheTest, StoreFailsCleanlyOnUnwritableDirectory) {
   // A regular file where the directory should be: create_directories
   // fails even when running as root (chmod-based fixtures do not).
-  std::string Blocker =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_blocker")
-          .string();
-  std::filesystem::remove_all(Blocker);
+  std::string Blocker = testing_support::freshTempPath("cuasmrl_cache_blocker");
   {
     std::ofstream OS(Blocker);
     OS << "file, not dir";
@@ -722,10 +703,7 @@ TEST(OptimizerTest, SurfacesAutotuneFailureInsteadOfTrainingOnGarbage) {
 }
 
 TEST(OptimizerTest, AutotuneAllPersistsWinnersThroughDeployCache) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_sweep_deploy")
-          .string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath("cuasmrl_sweep_deploy");
   triton::DeployCache Deploy(Dir);
 
   gpusim::Gpu Device;
@@ -773,10 +751,7 @@ TEST(OptimizerTest, AutotuneAllPersistsWinnersThroughDeployCache) {
 TEST(OptimizerTest, AutotuneAllSurfacesPersistFailures) {
   // A regular file blocks the deploy directory: every store must fail
   // and be counted — winners are never dropped silently.
-  std::string Blocker =
-      (std::filesystem::temp_directory_path() / "cuasmrl_sweep_blocker")
-          .string();
-  std::filesystem::remove_all(Blocker);
+  std::string Blocker = testing_support::freshTempPath("cuasmrl_sweep_blocker");
   {
     std::ofstream OS(Blocker);
     OS << "file, not dir";

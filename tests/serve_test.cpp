@@ -16,6 +16,8 @@
 #include "serve/OptimizationService.h"
 #include "support/Clock.h"
 
+#include "TestTemp.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -159,10 +161,7 @@ OptimizeRequest request(WorkloadKind Kind, int Priority = 0) {
 }
 
 std::string freshDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  return Dir;
+  return testing_support::freshTempPath(Name);
 }
 
 /// Everything response equality means for the determinism contract.

@@ -13,6 +13,8 @@
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 
+#include "TestTemp.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -355,9 +357,7 @@ TEST(SingleFlight, FindSeesOnlyPublishedValues) {
 namespace {
 
 std::string freshTmpDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
+  std::string Dir = testing_support::freshTempPath(Name);
   std::filesystem::create_directories(Dir);
   return Dir;
 }
