@@ -6,10 +6,10 @@
 //
 // Single-env step throughput of the assembly game on the GEMM and
 // attention kernels — the number that bounds rollout collection speed —
-// plus a per-phase breakdown (decode / execute / mask / hash / embed, and
-// the policy network's forward and PPO training sample on the kernel's
-// observation) so the perf trajectory of each hot-path component is
-// tracked across revisions.
+// plus a per-phase breakdown (decode / execute / measure / mask / hash /
+// embed, and the policy network's forward, PPO training sample and PPO
+// minibatch on the kernel's observations) so the perf trajectory of each
+// hot-path component is tracked across revisions.
 //
 // Emits a machine-readable JSON report (see tools/run_benchmarks.py):
 //
@@ -20,13 +20,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "core/GameEnvAdapter.h"
 #include "env/AssemblyGame.h"
+#include "gpusim/Measurement.h"
 #include "kernels/Builder.h"
 #include "rl/ActorCritic.h"
 #include "rl/Ppo.h"
 #include "sass/Parser.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,8 +57,10 @@ struct PhaseRates {
   double Embed = 0.0;       ///< Full observation rebuild.
   double Decode = 0.0;      ///< Pre-decoded kernel image build.
   double SimTimed = 0.0;    ///< One timed simulation (execute phase).
+  double Measure = 0.0;     ///< One uncached measurement, default protocol.
   double PolicyForward = 0.0;     ///< ActorCritic::forward on one observation.
   double PolicyTrainSample = 0.0; ///< Forward + PPO-loss backward, one sample.
+  double PpoMinibatch = 0.0;      ///< One PPO update of one minibatch.
 };
 
 struct KernelReport {
@@ -174,6 +180,17 @@ KernelReport benchKernel(WorkloadKind Kind, unsigned Steps, bool Paper) {
   // job (rollout forwards, greedy replay and PPO updates).
   std::vector<float> Obs = Embed.embed(Game.current());
   std::vector<uint8_t> Mask = Game.actionMask();
+  // A cache miss's measurement as cold requests take it: the default
+  // protocol (2 warmups, 3 reps, caches cleared between reps) on the
+  // game's block subset.
+  gpusim::MeasureConfig Measure;
+  Measure.MaxBlocks = std::min(Resident, 2u);
+  Rep.Phases.Measure = rate(Budget, [&] {
+    gpusim::Measurement M = gpusim::measureKernel(
+        Device, Game.current(), Game.decoded(), Kernel.Launch, Measure);
+    (void)M;
+  });
+
   rl::PpoConfig Ppo;
   rl::NetConfig Net;
   Net.Features = Embed.features();
@@ -215,6 +232,44 @@ KernelReport benchKernel(WorkloadKind Kind, unsigned Steps, bool Paper) {
       P.zeroGrad();
     Loss.backward();
   });
+
+  // One PPO minibatch as a cold request trains it (RolloutLen 32 over 4
+  // minibatches: 8 samples), over observations of a random walk: the
+  // minibatch's forward graph, backward, clipping and Adam step, plus
+  // the update's one bootstrap forward and GAE.
+  core::GameEnvAdapter Adapter(Game);
+  rl::PpoConfig MbConfig;
+  MbConfig.RolloutLen = 8;
+  MbConfig.MiniBatches = 1;
+  MbConfig.Epochs = 1;
+  rl::PpoTrainer Trainer({&Adapter}, MbConfig);
+  rl::TrajectoryBatch Batch;
+  rl::Trajectory &Traj = Batch.Trajectories.emplace_back();
+  std::vector<float> WalkObs = Game.reset();
+  while (Traj.Steps.size() < MbConfig.RolloutLen) {
+    std::vector<uint8_t> WalkMask = Game.actionMask();
+    Legal.clear();
+    for (unsigned A = 0; A < WalkMask.size(); ++A)
+      if (WalkMask[A])
+        Legal.push_back(A);
+    if (Legal.empty()) {
+      WalkObs = Game.reset();
+      continue;
+    }
+    rl::Transition &T = Traj.Steps.emplace_back();
+    T.Obs = WalkObs;
+    T.Mask = WalkMask;
+    T.Action = Legal[Walk.uniformInt(Legal.size())];
+    T.LogProb = -std::log(static_cast<float>(Legal.size()));
+    env::AssemblyGame::StepResult R = Game.step(T.Action);
+    T.Reward = static_cast<float>(R.Reward);
+    T.Done = R.Done;
+    WalkObs = R.Done ? Game.reset() : R.Observation;
+  }
+  Traj.BootstrapObs = WalkObs;
+  Traj.BootstrapMask = Game.actionMask();
+  Rep.Phases.PpoMinibatch =
+      rate(Budget, [&] { (void)Trainer.updateFromBatch(Batch); });
   return Rep;
 }
 
@@ -235,10 +290,13 @@ stats::BenchReport buildReport(const std::vector<KernelReport> &Reports,
     Rep.addMetric(R.Name + ".phase.embed_full", R.Phases.Embed, "ops/s");
     Rep.addMetric(R.Name + ".phase.decode_full", R.Phases.Decode, "ops/s");
     Rep.addMetric(R.Name + ".phase.sim_timed", R.Phases.SimTimed, "ops/s");
+    Rep.addMetric(R.Name + ".phase.measure", R.Phases.Measure, "ops/s");
     Rep.addMetric(R.Name + ".phase.policy_forward", R.Phases.PolicyForward,
                   "ops/s");
     Rep.addMetric(R.Name + ".phase.policy_train_sample",
                   R.Phases.PolicyTrainSample, "ops/s");
+    Rep.addMetric(R.Name + ".phase.ppo_minibatch", R.Phases.PpoMinibatch,
+                  "ops/s");
     Total += R.Counters;
 
     stats::JsonValue K = stats::JsonValue::object();
@@ -288,12 +346,13 @@ int main(int argc, char **argv) {
                 R.Name.c_str(), R.Steps, R.Seconds, R.StepsPerSec,
                 100.0 * R.CacheHitRate);
     std::printf("  phases/s: mask %.0f (fresh %.0f)  hash %.0f (fresh %.0f)"
-                "  embed %.0f  decode %.0f  sim %.0f\n"
-                "  policy/s: forward %.0f  train sample %.0f\n",
+                "  embed %.0f  decode %.0f  sim %.0f  measure %.0f\n"
+                "  policy/s: forward %.0f  train sample %.0f"
+                "  ppo minibatch %.0f\n",
                 R.Phases.MaskCached, R.Phases.MaskFresh, R.Phases.HashKey,
                 R.Phases.HashFresh, R.Phases.Embed, R.Phases.Decode,
-                R.Phases.SimTimed, R.Phases.PolicyForward,
-                R.Phases.PolicyTrainSample);
+                R.Phases.SimTimed, R.Phases.Measure, R.Phases.PolicyForward,
+                R.Phases.PolicyTrainSample, R.Phases.PpoMinibatch);
     Reports.push_back(std::move(R));
   }
 

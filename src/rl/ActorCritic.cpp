@@ -79,29 +79,48 @@ ActorCritic::ActorCritic(NetConfig C, Rng &R) : Config(C) {
   Bv = Tensor::zeros({1}, true);
 }
 
-ActorCritic::Output
-ActorCritic::forward(const std::vector<float> &Obs,
-                     const std::vector<uint8_t> &Mask) const {
-  // The row count comes from the observation itself: the conv stack
+ActorCritic::Output ActorCritic::forward(
+    const std::vector<const std::vector<float> *> &Obs,
+    const std::vector<const std::vector<uint8_t> *> &Masks) const {
+  // The row count comes from each observation itself: the conv stack
   // and mean/max pooling are length-free, so one network consumes
   // observations from differently sized kernels (Config.Length is only
-  // the pool maximum, for documentation and sizing).
+  // the pool maximum, for documentation and sizing). The samples are
+  // packed one after another along the conv length axis.
   size_t F = Config.Features;
-  assert(F > 0 && !Obs.empty() && Obs.size() % F == 0 &&
-         "observation shape mismatch");
-  size_t L = Obs.size() / F;
-  assert(Mask.size() == Config.Actions && "mask shape mismatch");
+  assert(F > 0 && !Obs.empty() && Masks.size() == Obs.size() &&
+         "batch shape mismatch");
+  std::vector<size_t> Lengths;
+  Lengths.reserve(Obs.size());
+  size_t Total = 0;
+  for (const std::vector<float> *O : Obs) {
+    assert(!O->empty() && O->size() % F == 0 && "observation shape mismatch");
+    Lengths.push_back(O->size() / F);
+    Total += Lengths.back();
+  }
 
-  // Transpose [L x F] row-major into channel-major [F x L].
-  std::vector<float> ChanMajor(F * L);
-  for (size_t Row = 0; Row < L; ++Row)
-    for (size_t Feat = 0; Feat < F; ++Feat)
-      ChanMajor[Feat * L + Row] = Obs[Row * F + Feat];
+  // Transpose each [L x F] row-major observation into its columns of
+  // the channel-major [F x Total] input.
+  std::vector<float> ChanMajor(F * Total);
+  size_t Base = 0;
+  for (size_t B = 0; B < Obs.size(); ++B) {
+    const std::vector<float> &O = *Obs[B];
+    for (size_t Row = 0; Row < Lengths[B]; ++Row)
+      for (size_t Feat = 0; Feat < F; ++Feat)
+        ChanMajor[Feat * Total + Base + Row] = O[Row * F + Feat];
+    Base += Lengths[B];
+  }
+  std::vector<uint8_t> Mask;
+  Mask.reserve(Masks.size() * Config.Actions);
+  for (const std::vector<uint8_t> *M : Masks) {
+    assert(M->size() == Config.Actions && "mask shape mismatch");
+    Mask.insert(Mask.end(), M->begin(), M->end());
+  }
 
-  Tensor X = Tensor::fromVector(std::move(ChanMajor), {F, L});
-  X = relu(conv1d(X, W1, B1));
-  X = relu(conv1d(X, W2, B2));
-  Tensor Pooled = concat(meanPool(X), maxPool(X));
+  Tensor X = Tensor::fromVector(std::move(ChanMajor), {F, Total});
+  X = relu(conv1d(X, W1, B1, Lengths));
+  X = relu(conv1d(X, W2, B2, Lengths));
+  Tensor Pooled = concat(meanPool(X, Lengths), maxPool(X, Lengths));
   Tensor H = relu(linear(Wh, Pooled, Bh));
 
   Output Out;

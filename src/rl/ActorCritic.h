@@ -49,17 +49,26 @@ public:
   ActorCritic(NetConfig Config, Rng &InitRng);
 
   struct Output {
-    Tensor MaskedLogits; ///< [Actions], invalid entries at -1e9.
-    Tensor Value;        ///< [1].
+    Tensor MaskedLogits; ///< [Samples, Actions], invalid entries at -1e9.
+    Tensor Value;        ///< [Samples, 1].
   };
 
-  /// Builds the forward graph for one observation (row-major
-  /// [rows x Features] as produced by env::Embedding; the row count is
-  /// derived from the observation, so observations from differently
-  /// sized kernels flow through one network). \p Mask must span
-  /// Config.Actions entries (shorter action spaces padded with zeros).
+  /// Builds one forward graph for a batch of observations (each
+  /// row-major [rows x Features] as produced by env::Embedding; the row
+  /// count is derived per observation, so observations from differently
+  /// sized kernels flow through one network and one batch). Each
+  /// \p Masks entry must span Config.Actions entries (shorter action
+  /// spaces padded with zeros). Sample b's outputs are row b, bit for
+  /// bit what a batch of one would give it.
+  Output forward(const std::vector<const std::vector<float> *> &Obs,
+                 const std::vector<const std::vector<uint8_t> *> &Masks) const;
+
+  /// The batch of one.
   Output forward(const std::vector<float> &Obs,
-                 const std::vector<uint8_t> &Mask) const;
+                 const std::vector<uint8_t> &Mask) const {
+    return forward(std::vector<const std::vector<float> *>{&Obs},
+                   std::vector<const std::vector<uint8_t> *>{&Mask});
+  }
 
   /// All trainable parameters (stable order; used by Adam/checkpoints).
   std::vector<Tensor> parameters() const;

@@ -33,6 +33,10 @@ public:
   void setLr(double NewLr) { Lr = NewLr; }
   double lr() const { return Lr; }
 
+  /// First and second moment estimates, one vector per parameter.
+  const std::vector<std::vector<float>> &firstMoments() const { return M; }
+  const std::vector<std::vector<float>> &secondMoments() const { return V; }
+
 private:
   std::vector<Tensor> Params;
   std::vector<std::vector<float>> M, V;

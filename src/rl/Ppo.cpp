@@ -82,15 +82,23 @@ UpdateStats PpoTrainer::updateFromBatch(const TrajectoryBatch &Batch) {
   // ---- GAE ------------------------------------------------------------------
   // Per-trajectory and order-free: each trajectory's advantages depend
   // only on its own transitions and bootstrap value (batching-invariant
-  // reduction — slot membership in a larger batch changes nothing).
+  // reduction — slot membership in a larger batch changes nothing). The
+  // bootstrap values come from one forward over every trajectory.
+  std::vector<const std::vector<float> *> BootObs;
+  std::vector<const std::vector<uint8_t> *> BootMasks;
+  for (const Trajectory &Traj : Trajs) {
+    BootObs.push_back(&Traj.BootstrapObs);
+    BootMasks.push_back(&Traj.BootstrapMask);
+  }
+  const std::vector<float> NextValues =
+      Net.forward(BootObs, BootMasks).Value.data();
   std::vector<std::vector<float>> Adv(NumTrajs), Ret(NumTrajs);
   for (size_t J = 0; J < NumTrajs; ++J) {
     const Trajectory &Traj = Trajs[J];
     const size_t T = Traj.Steps.size();
     Adv[J].resize(T);
     Ret[J].resize(T);
-    float NextValue =
-        Net.forward(Traj.BootstrapObs, Traj.BootstrapMask).Value.item();
+    float NextValue = NextValues[J];
     float Gae = 0.0f;
     for (size_t Step = T; Step-- > 0;) {
       const Transition &S = Traj.Steps[Step];
@@ -123,6 +131,7 @@ UpdateStats PpoTrainer::updateFromBatch(const TrajectoryBatch &Batch) {
          SumClip = 0;
   size_t BatchCount = 0;
 
+  const float Clip = static_cast<float>(Config.ClipCoef);
   size_t BatchSize = Index.size();
   size_t MbSize = std::max<size_t>(1, BatchSize / Config.MiniBatches);
   for (unsigned Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
@@ -146,73 +155,87 @@ UpdateStats PpoTrainer::updateFromBatch(const TrajectoryBatch &Batch) {
       }
       double Std = std::sqrt(Var / Count) + 1e-8;
 
-      Tensor Loss = Tensor::scalar(0.0f);
-      double KlAccum = 0, ClipAccum = 0, EntAccum = 0, PlAccum = 0,
-             VlAccum = 0;
-      for (size_t I = Start; I < End; ++I) {
-        const Transition &S = Trajs[Index[I].first].Steps[Index[I].second];
-        float A = static_cast<float>(
-            Config.NormAdvantage
-                ? (Adv[Index[I].first][Index[I].second] - Mean) / Std
-                : Adv[Index[I].first][Index[I].second]);
-        float R = Ret[Index[I].first][Index[I].second];
+      // One graph for the whole minibatch. Per sample it is the graph a
+      // sample's own loss would build: the same ops in the same order,
+      // with each per-sample constant a [Count] input instead of a
+      // scalar operand (x - c is bitwise x + (-c)), so every element is
+      // computed and differentiated exactly as alone, and each parameter
+      // gradient element receives the samples' contributions first
+      // sample first (docs/TRAINING.md).
+      std::vector<const std::vector<float> *> Obs(Count);
+      std::vector<const std::vector<uint8_t> *> Masks(Count);
+      std::vector<size_t> Actions(Count);
+      std::vector<float> OldLogP(Count), Advantage(Count), Return(Count),
+          OldValue(Count), OldValueMinusReturn(Count);
+      for (size_t I = 0; I < Count; ++I) {
+        auto [J, Step] = Index[Start + I];
+        const Transition &S = Trajs[J].Steps[Step];
+        float R = Ret[J][Step];
+        Obs[I] = &S.Obs;
+        Masks[I] = &S.Mask;
+        Actions[I] = S.Action;
+        OldLogP[I] = S.LogProb;
+        Advantage[I] = static_cast<float>(
+            Config.NormAdvantage ? (Adv[J][Step] - Mean) / Std
+                                 : Adv[J][Step]);
+        Return[I] = R;
+        OldValue[I] = S.Value;
+        OldValueMinusReturn[I] = S.Value - R;
+      }
+      auto Input = [Count](const std::vector<float> &V) {
+        return Tensor::fromVector(V, {Count});
+      };
 
-        ActorCritic::Output Out = Net.forward(S.Obs, S.Mask);
-        Tensor LogP = logSoftmax(Out.MaskedLogits);
-        Tensor NewLogProb = gather(LogP, S.Action);
-        Tensor Ratio =
-            expT(scalarAdd(NewLogProb, -S.LogProb)); // exp(new - old).
+      ActorCritic::Output Out = Net.forward(Obs, Masks);
+      Tensor LogP = logSoftmax(Out.MaskedLogits);
+      Tensor NewLogProb = gather(LogP, Actions);
+      Tensor Ratio = expT(sub(NewLogProb, Input(OldLogP)));
 
-        // Clipped surrogate objective.
-        Tensor Surr1 = scalarMul(Ratio, A);
-        Tensor Surr2 = scalarMul(
-            clampRange(Ratio, 1.0f - static_cast<float>(Config.ClipCoef),
-                       1.0f + static_cast<float>(Config.ClipCoef)),
-            A);
-        Tensor PolicyLoss = neg(minElem(Surr1, Surr2));
+      // Clipped surrogate objective.
+      Tensor A = Input(Advantage);
+      Tensor Surr1 = mul(Ratio, A);
+      Tensor Surr2 = mul(clampRange(Ratio, 1.0f - Clip, 1.0f + Clip), A);
+      Tensor PolicyLoss = neg(minElem(Surr1, Surr2));
 
-        // Value loss, optionally clipped around the old value.
-        Tensor VDiff = scalarAdd(Out.Value, -R);
-        Tensor VLoss = mul(VDiff, VDiff);
-        if (Config.ClipVLoss) {
-          Tensor VClipped =
-              scalarAdd(clampRange(scalarAdd(Out.Value, -S.Value),
-                                   -static_cast<float>(Config.ClipCoef),
-                                   static_cast<float>(Config.ClipCoef)),
-                        S.Value - R);
-          Tensor VLossClipped = mul(VClipped, VClipped);
-          // max(a, b) = -min(-a, -b).
-          VLoss = neg(minElem(neg(VLoss), neg(VLossClipped)));
-        }
-
-        // Entropy of the masked categorical.
-        Tensor Probs = expT(LogP);
-        Tensor Entropy = neg(sumT(mul(Probs, LogP)));
-
-        Tensor SampleLoss =
-            add(PolicyLoss,
-                add(scalarMul(VLoss, static_cast<float>(Config.VfCoef) *
-                                         0.5f),
-                    scalarMul(Entropy,
-                              -static_cast<float>(Config.EntCoef))));
-        Loss = add(Loss, SampleLoss);
-
-        // Diagnostics.
-        double RatioVal = Ratio.item();
-        double LogRatio = NewLogProb.item() - S.LogProb;
-        KlAccum += (RatioVal - 1.0) - LogRatio;
-        ClipAccum += std::fabs(RatioVal - 1.0) > Config.ClipCoef;
-        EntAccum += Entropy.item();
-        PlAccum += PolicyLoss.item();
-        VlAccum += VLoss.item();
+      // Value loss, optionally clipped around the old value.
+      Tensor VDiff = sub(Out.Value, Input(Return));
+      Tensor VLoss = mul(VDiff, VDiff);
+      if (Config.ClipVLoss) {
+        Tensor VClipped =
+            add(clampRange(sub(Out.Value, Input(OldValue)), -Clip, Clip),
+                Input(OldValueMinusReturn));
+        Tensor VLossClipped = mul(VClipped, VClipped);
+        // max(a, b) = -min(-a, -b).
+        VLoss = neg(minElem(neg(VLoss), neg(VLossClipped)));
       }
 
-      Loss = scalarMul(Loss, 1.0f / static_cast<float>(Count));
+      // Entropy of the masked categorical.
+      Tensor Probs = expT(LogP);
+      Tensor Entropy = neg(sumRows(mul(Probs, LogP)));
+
+      Tensor SampleLoss = add(
+          PolicyLoss,
+          add(scalarMul(VLoss, static_cast<float>(Config.VfCoef) * 0.5f),
+              scalarMul(Entropy, -static_cast<float>(Config.EntCoef))));
+      Tensor Loss =
+          scalarMul(sumT(SampleLoss), 1.0f / static_cast<float>(Count));
       Optimizer.zeroGrad();
       Loss.backward();
       clipGradNorm(Net.parameters(), Config.MaxGradNorm);
       Optimizer.step();
 
+      // Diagnostics, accumulated sample by sample.
+      double KlAccum = 0, ClipAccum = 0, EntAccum = 0, PlAccum = 0,
+             VlAccum = 0;
+      for (size_t I = 0; I < Count; ++I) {
+        double RatioVal = Ratio.data()[I];
+        double LogRatio = NewLogProb.data()[I] - OldLogP[I];
+        KlAccum += (RatioVal - 1.0) - LogRatio;
+        ClipAccum += std::fabs(RatioVal - 1.0) > Config.ClipCoef;
+        EntAccum += Entropy.data()[I];
+        PlAccum += PolicyLoss.data()[I];
+        VlAccum += VLoss.data()[I];
+      }
       SumPolicyLoss += PlAccum / Count;
       SumValueLoss += VlAccum / Count;
       SumEntropy += EntAccum / Count;

@@ -130,6 +130,7 @@ public:
 
   ActorCritic &net() { return Net; }
   const ActorCritic &net() const { return Net; }
+  const Adam &optimizer() const { return Optimizer; }
   RolloutRunner &runner() { return *Runner; }
 
   /// Episodic returns, slot-major per update (all of slot 0's

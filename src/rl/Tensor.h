@@ -6,10 +6,13 @@
 ///
 /// \file
 /// A compact dynamic-graph autograd engine sized for the paper's agent:
-/// 1-D/2-D/3-D float tensors, the op set PPO needs (conv1d, matvec,
+/// 1-D/2-D/3-D float tensors, the op set PPO needs (conv1d, linear,
 /// activations, masked log-softmax, reductions, elementwise arithmetic)
-/// and reverse-mode differentiation over the recorded tape. Single
-/// sample forward passes; batching is a loop at the trainer level.
+/// and reverse-mode differentiation over the recorded tape. A PPO
+/// minibatch is one graph: the network ops take a batch of samples
+/// (rows for linear and the row-wise ops, packed ragged segments for
+/// the convolutions and pools), and every op computes each sample's
+/// elements with exactly the arithmetic of a batch of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,25 +98,44 @@ Tensor scalarAdd(const Tensor &A, float S);
 /// @{
 Tensor sumT(const Tensor &A);                 ///< -> scalar
 Tensor meanT(const Tensor &A);                ///< -> scalar
-Tensor concat(const Tensor &A, const Tensor &B); ///< 1-D concat
-Tensor gather(const Tensor &A, size_t Index); ///< 1-D pick -> scalar
+/// Sum over the last axis: [N, K] -> [N] (a 1-D tensor is one row).
+Tensor sumRows(const Tensor &A);
+/// Concatenation along the last axis: 1-D [M] and [N] -> [M + N], or
+/// row by row, [R, M] and [R, N] -> [R, M + N].
+Tensor concat(const Tensor &A, const Tensor &B);
+/// 1-D pick -> [1].
+Tensor gather(const Tensor &A, size_t Index);
+/// One pick per row: [R, K] and R indices -> [R].
+Tensor gather(const Tensor &A, const std::vector<size_t> &Indices);
 /// @}
 
 /// \name Neural-network ops
+///
+/// Packed segments: the convolutions and pools take \p Lengths, the
+/// row counts of the samples packed one after another along a [C, L]
+/// tensor's length axis (sample b spans the Lengths[b] columns after
+/// those of samples 0..b-1). Each sample is convolved and pooled on
+/// its own, with same-padding at its own edges; an empty \p Lengths
+/// means one sample spanning the whole axis.
 /// @{
-/// y = W x + b with W [Out, In], x [In], b [Out].
+/// y = W x + b with W [Out, In], x [In], b [Out] -> [Out]; or row by
+/// row, x [R, In] -> [R, Out].
 Tensor linear(const Tensor &W, const Tensor &X, const Tensor &B);
 /// Same-padded 1-D convolution: X [Cin, L], W [Cout, Cin, K], B [Cout]
 /// -> [Cout, L]. K must be odd.
-Tensor conv1d(const Tensor &X, const Tensor &W, const Tensor &B);
-/// Mean over the length axis: [C, L] -> [C].
-Tensor meanPool(const Tensor &X);
-/// Max over the length axis: [C, L] -> [C].
-Tensor maxPool(const Tensor &X);
+Tensor conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
+              const std::vector<size_t> &Lengths = {});
+/// Mean over each sample's length: [C, L] -> [C], or [B, C] for B
+/// packed samples.
+Tensor meanPool(const Tensor &X, const std::vector<size_t> &Lengths = {});
+/// Max over each sample's length: [C, L] -> [C], or [B, C] for B
+/// packed samples.
+Tensor maxPool(const Tensor &X, const std::vector<size_t> &Lengths = {});
 /// Sets masked-out entries (Mask[i] == 0) to -1e9; gradient flows only
 /// through kept entries. A [A]-shaped op for invalid-action masking.
 Tensor maskedFill(const Tensor &A, const std::vector<uint8_t> &Mask);
-/// Numerically stable log-softmax over a 1-D tensor.
+/// Numerically stable log-softmax over the last axis (each row of a
+/// [R, K] tensor; a 1-D tensor is one row).
 Tensor logSoftmax(const Tensor &A);
 /// @}
 

@@ -269,6 +269,81 @@ TEST(Autograd, Conv1dMatchesScalarReference) {
   EXPECT_GT(NonZeroUpstream, 0u);
 }
 
+namespace {
+
+/// Columns [Base, Base + L) of a row-major [Rows, Total] matrix.
+std::vector<float> columns(const std::vector<float> &M, size_t Rows,
+                           size_t Total, size_t Base, size_t L) {
+  std::vector<float> Out(Rows * L);
+  for (size_t R = 0; R < Rows; ++R)
+    std::copy_n(M.data() + R * Total + Base, L, Out.data() + R * L);
+  return Out;
+}
+
+} // namespace
+
+TEST(Autograd, BatchedConv1dMatchesScalarReference) {
+  // Ragged samples packed along the length axis: each sample's output
+  // and input gradient are the scalar conv of that sample alone, and
+  // the weight and bias gradients receive the samples' terms first
+  // sample first, as the per-sample graphs of a minibatch gave them.
+  Rng R(22);
+  const std::vector<std::vector<size_t>> Batches = {
+      {1, 2, 5, 72, 3}, {130, 1, 2}, {2, 1}};
+  unsigned Cases = 0;
+  for (size_t Cin : {1u, 17u})
+    for (size_t Cout : {1u, 16u})
+      for (size_t K : {1u, 3u, 5u, 7u})
+        for (const std::vector<size_t> &Lengths : Batches) {
+          SCOPED_TRACE(testing::Message() << "Cin " << Cin << " Cout "
+                                          << Cout << " K " << K
+                                          << " batch " << Cases % 3);
+          size_t Total = 0;
+          for (size_t L : Lengths)
+            Total += L;
+          std::vector<float> X = uniformFloats(R, Cin * Total);
+          std::vector<float> W = uniformFloats(R, Cout * Cin * K);
+          std::vector<float> B = uniformFloats(R, Cout);
+          std::vector<float> Scale = uniformFloats(R, Cout * Total);
+          ConvResult Start =
+              startGrads(R, /*Seeded=*/Cases % 2 == 1, Cin, Cout, K, Total);
+
+          Tensor Xt = Tensor::fromVector(X, {Cin, Total}, true);
+          Tensor Wt = Tensor::fromVector(W, {Cout, Cin, K}, true);
+          Tensor Bt = Tensor::fromVector(B, {Cout}, true);
+          Xt.grad() = Start.XGrad;
+          Wt.grad() = Start.WGrad;
+          Bt.grad() = Start.BGrad;
+          Tensor Y = conv1d(Xt, Wt, Bt, Lengths);
+          Tensor S = Tensor::fromVector(Scale, {Cout, Total});
+          sumT(mul(relu(Y), S)).backward();
+
+          ConvResult Ref = Start;
+          size_t Base = 0;
+          for (size_t L : Lengths) {
+            ConvResult SampleStart = Ref;
+            SampleStart.XGrad = columns(Start.XGrad, Cin, Total, Base, L);
+            ConvResult One = scalarConv1d(
+                columns(X, Cin, Total, Base, L), W, B,
+                columns(Y.grad(), Cout, Total, Base, L), SampleStart, Cin,
+                Cout, K, L);
+            EXPECT_TRUE(sameBits(columns(Y.data(), Cout, Total, Base, L),
+                                 One.Out))
+                << "forward output, L " << L;
+            EXPECT_TRUE(sameBits(columns(Xt.grad(), Cin, Total, Base, L),
+                                 One.XGrad))
+                << "input gradient, L " << L;
+            Ref.WGrad = One.WGrad;
+            Ref.BGrad = One.BGrad;
+            Base += L;
+          }
+          EXPECT_TRUE(sameBits(Wt.grad(), Ref.WGrad)) << "weight gradient";
+          EXPECT_TRUE(sameBits(Bt.grad(), Ref.BGrad)) << "bias gradient";
+          ++Cases;
+        }
+  EXPECT_EQ(Cases, 48u);
+}
+
 TEST(Autograd, Conv1dInputWithoutGradStaysZero) {
   Rng R(21);
   size_t Cin = 17, Cout = 16, K = 5, L = 72;
@@ -550,6 +625,288 @@ TEST(PpoTest, CriticLearnsOptimalReturn) {
   float V = Trainer.net().forward(Obs, Mask).Value.item();
   EXPECT_GT(V, 2.0f);
   EXPECT_LT(V, 5.5f);
+}
+
+namespace {
+
+/// Geometry only: lets a PpoTrainer size its net for a mixed-kernel
+/// pool whose batches the test builds itself. Never stepped.
+class ShapeEnv : public Env {
+public:
+  ShapeEnv(size_t Rows, unsigned Actions) : Rows(Rows), Actions(Actions) {}
+  std::vector<float> reset() override {
+    return std::vector<float>(Rows * obsFeatures(), 0.0f);
+  }
+  EnvStep step(unsigned) override { return EnvStep(); }
+  std::vector<uint8_t> actionMask() override {
+    return std::vector<uint8_t>(Actions, 1);
+  }
+  unsigned actionCount() const override { return Actions; }
+  size_t obsRows() const override { return Rows; }
+  size_t obsFeatures() const override { return 4; }
+
+private:
+  size_t Rows;
+  unsigned Actions;
+};
+
+/// A random observation of \p Rows rows and a mask with \p Actions
+/// entries (at least one legal) padded with zeros to \p NetActions.
+void randomState(Rng &R, size_t Rows, unsigned Actions, unsigned NetActions,
+                 std::vector<float> &Obs, std::vector<uint8_t> &Mask) {
+  Obs = uniformFloats(R, Rows * 4);
+  Mask.assign(NetActions, 0);
+  for (unsigned A = 0; A < Actions; ++A)
+    Mask[A] = R.bernoulli(0.6);
+  Mask[R.uniformInt(Actions)] = 1;
+}
+
+/// One rollout of \p Steps steps per slot over a mixed-kernel pool:
+/// slot J's observations have Rows[J] rows and Actions[J] actions.
+TrajectoryBatch randomBatch(Rng &R, const std::vector<size_t> &Rows,
+                            const std::vector<unsigned> &Actions,
+                            unsigned NetActions, unsigned Steps) {
+  TrajectoryBatch Batch;
+  for (size_t J = 0; J < Rows.size(); ++J) {
+    Trajectory T;
+    for (unsigned Step = 0; Step < Steps; ++Step) {
+      Transition S;
+      randomState(R, Rows[J], Actions[J], NetActions, S.Obs, S.Mask);
+      do
+        S.Action = static_cast<unsigned>(R.uniformInt(Actions[J]));
+      while (!S.Mask[S.Action]);
+      S.LogProb = static_cast<float>(-R.uniformReal(0.05, 2.5));
+      S.Value = static_cast<float>(R.uniformReal(-1.0, 1.0));
+      S.Reward = static_cast<float>(R.uniformReal(-1.0, 1.0));
+      S.Done = R.bernoulli(0.15);
+      T.Steps.push_back(std::move(S));
+    }
+    randomState(R, Rows[J], Actions[J], NetActions, T.BootstrapObs,
+                T.BootstrapMask);
+    T.CompletedReturns = {R.uniformReal(-2.0, 2.0)};
+    Batch.Trajectories.push_back(std::move(T));
+  }
+  return Batch;
+}
+
+/// PpoTrainer::updateFromBatch as it was when every sample built its
+/// own forward graph and the minibatch loss summed them: the reference
+/// the one-graph-per-minibatch update must match bit for bit.
+struct PerSampleTrainer {
+  PpoConfig Config;
+  Rng SampleRng;
+  ActorCritic Net;
+  Adam Optimizer;
+  std::vector<double> EpisodeReturns;
+  unsigned StepsDone = 0;
+
+  PerSampleTrainer(const NetConfig &NC, const PpoConfig &C)
+      : Config(C), SampleRng(C.Seed), Net(NC, SampleRng),
+        Optimizer(Net.parameters(), C.Lr) {}
+
+  UpdateStats update(const TrajectoryBatch &Batch) {
+    const std::vector<Trajectory> &Trajs = Batch.Trajectories;
+    const size_t NumTrajs = Trajs.size();
+    for (const Trajectory &Traj : Trajs)
+      for (double Return : Traj.CompletedReturns)
+        EpisodeReturns.push_back(Return);
+    StepsDone += static_cast<unsigned>(Batch.totalSteps());
+
+    std::vector<std::vector<float>> Adv(NumTrajs), Ret(NumTrajs);
+    for (size_t J = 0; J < NumTrajs; ++J) {
+      const Trajectory &Traj = Trajs[J];
+      const size_t T = Traj.Steps.size();
+      Adv[J].resize(T);
+      Ret[J].resize(T);
+      float NextValue =
+          Net.forward(Traj.BootstrapObs, Traj.BootstrapMask).Value.item();
+      float Gae = 0.0f;
+      for (size_t Step = T; Step-- > 0;) {
+        const Transition &S = Traj.Steps[Step];
+        float VNext = Step + 1 < T ? Traj.Steps[Step + 1].Value : NextValue;
+        float NonTerminal = S.Done ? 0.0f : 1.0f;
+        float Delta = S.Reward +
+                      static_cast<float>(Config.Gamma) * VNext * NonTerminal -
+                      S.Value;
+        Gae = Delta + static_cast<float>(Config.Gamma * Config.GaeLambda) *
+                          NonTerminal * Gae;
+        Adv[J][Step] = Gae;
+        Ret[J][Step] = Gae + S.Value;
+      }
+    }
+
+    std::vector<std::pair<size_t, size_t>> Index;
+    for (size_t J = 0; J < NumTrajs; ++J)
+      for (size_t Step = 0; Step < Trajs[J].Steps.size(); ++Step)
+        Index.push_back({J, Step});
+    if (Config.AnnealLr) {
+      double Frac = 1.0 - static_cast<double>(StepsDone) /
+                              std::max(1u, Config.TotalSteps);
+      Optimizer.setLr(Config.Lr * std::max(0.05, Frac));
+    }
+
+    double SumPolicyLoss = 0, SumValueLoss = 0, SumEntropy = 0, SumKl = 0,
+           SumClip = 0;
+    size_t BatchCount = 0;
+    size_t BatchSize = Index.size();
+    size_t MbSize = std::max<size_t>(1, BatchSize / Config.MiniBatches);
+    for (unsigned Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
+      SampleRng.shuffle(Index);
+      for (size_t Start = 0; Start < BatchSize; Start += MbSize) {
+        size_t End = std::min(BatchSize, Start + MbSize);
+        size_t Count = End - Start;
+        double Mean = 0, Var = 0;
+        for (size_t I = Start; I < End; ++I)
+          Mean += Adv[Index[I].first][Index[I].second];
+        Mean /= Count;
+        for (size_t I = Start; I < End; ++I) {
+          double D = Adv[Index[I].first][Index[I].second] - Mean;
+          Var += D * D;
+        }
+        double Std = std::sqrt(Var / Count) + 1e-8;
+
+        Tensor Loss = Tensor::scalar(0.0f);
+        double KlAccum = 0, ClipAccum = 0, EntAccum = 0, PlAccum = 0,
+               VlAccum = 0;
+        for (size_t I = Start; I < End; ++I) {
+          const Transition &S = Trajs[Index[I].first].Steps[Index[I].second];
+          float A = static_cast<float>(
+              Config.NormAdvantage
+                  ? (Adv[Index[I].first][Index[I].second] - Mean) / Std
+                  : Adv[Index[I].first][Index[I].second]);
+          float R = Ret[Index[I].first][Index[I].second];
+
+          ActorCritic::Output Out = Net.forward(S.Obs, S.Mask);
+          Tensor LogP = logSoftmax(Out.MaskedLogits);
+          Tensor NewLogProb = gather(LogP, S.Action);
+          Tensor Ratio = expT(scalarAdd(NewLogProb, -S.LogProb));
+          Tensor Surr1 = scalarMul(Ratio, A);
+          Tensor Surr2 = scalarMul(
+              clampRange(Ratio, 1.0f - static_cast<float>(Config.ClipCoef),
+                         1.0f + static_cast<float>(Config.ClipCoef)),
+              A);
+          Tensor PolicyLoss = neg(minElem(Surr1, Surr2));
+          Tensor VDiff = scalarAdd(Out.Value, -R);
+          Tensor VLoss = mul(VDiff, VDiff);
+          if (Config.ClipVLoss) {
+            Tensor VClipped =
+                scalarAdd(clampRange(scalarAdd(Out.Value, -S.Value),
+                                     -static_cast<float>(Config.ClipCoef),
+                                     static_cast<float>(Config.ClipCoef)),
+                          S.Value - R);
+            Tensor VLossClipped = mul(VClipped, VClipped);
+            VLoss = neg(minElem(neg(VLoss), neg(VLossClipped)));
+          }
+          Tensor Probs = expT(LogP);
+          Tensor Entropy = neg(sumT(mul(Probs, LogP)));
+          Tensor SampleLoss =
+              add(PolicyLoss,
+                  add(scalarMul(VLoss, static_cast<float>(Config.VfCoef) *
+                                           0.5f),
+                      scalarMul(Entropy,
+                                -static_cast<float>(Config.EntCoef))));
+          Loss = add(Loss, SampleLoss);
+
+          double RatioVal = Ratio.item();
+          double LogRatio = NewLogProb.item() - S.LogProb;
+          KlAccum += (RatioVal - 1.0) - LogRatio;
+          ClipAccum += std::fabs(RatioVal - 1.0) > Config.ClipCoef;
+          EntAccum += Entropy.item();
+          PlAccum += PolicyLoss.item();
+          VlAccum += VLoss.item();
+        }
+        Loss = scalarMul(Loss, 1.0f / static_cast<float>(Count));
+        Optimizer.zeroGrad();
+        Loss.backward();
+        clipGradNorm(Net.parameters(), Config.MaxGradNorm);
+        Optimizer.step();
+
+        SumPolicyLoss += PlAccum / Count;
+        SumValueLoss += VlAccum / Count;
+        SumEntropy += EntAccum / Count;
+        SumKl += KlAccum / Count;
+        SumClip += ClipAccum / Count;
+        ++BatchCount;
+      }
+    }
+
+    UpdateStats Stats;
+    Stats.StepsDone = StepsDone;
+    Stats.PolicyLoss = SumPolicyLoss / BatchCount;
+    Stats.ValueLoss = SumValueLoss / BatchCount;
+    Stats.Entropy = SumEntropy / BatchCount;
+    Stats.ApproxKl = SumKl / BatchCount;
+    Stats.ClipFraction = SumClip / BatchCount;
+    size_t Window = std::min<size_t>(EpisodeReturns.size(), 16);
+    double Sum = 0;
+    for (size_t I = EpisodeReturns.size() - Window; I < EpisodeReturns.size();
+         ++I)
+      Sum += EpisodeReturns[I];
+    Stats.MeanEpisodicReturn = Sum / Window;
+    return Stats;
+  }
+};
+
+bool sameDoubleBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(A)) == 0;
+}
+
+} // namespace
+
+TEST(PpoTest, BatchedUpdateMatchesPerSampleGraph) {
+  // A mixed-kernel pool: ragged row counts (including a 2-row kernel)
+  // and action counts padded to the net's maximum. 3 slots x 11 steps
+  // in 4 minibatches is 8 + 8 + 8 + 8 + 1: the last minibatch is one
+  // sample.
+  const std::vector<size_t> Rows = {7, 12, 2};
+  const std::vector<unsigned> Actions = {5, 3, 4};
+  for (bool Plain : {false, true}) {
+    SCOPED_TRACE(Plain ? "no advantage norm, unclipped value loss"
+                       : "default losses");
+    PpoConfig C;
+    C.Seed = 13;
+    C.Channels = 8;
+    C.Hidden = 16;
+    C.Epochs = 2;
+    C.TotalSteps = 200;
+    C.NormAdvantage = !Plain;
+    C.ClipVLoss = !Plain;
+    ShapeEnv E0(Rows[0], Actions[0]), E1(Rows[1], Actions[1]),
+        E2(Rows[2], Actions[2]);
+    PpoTrainer Trainer({&E0, &E1, &E2}, C);
+    NetConfig NC = Trainer.net().config();
+    PerSampleTrainer Ref(NC, C);
+
+    Rng Data(99);
+    for (int Update = 0; Update < 3; ++Update) {
+      SCOPED_TRACE(testing::Message() << "update " << Update);
+      TrajectoryBatch Batch = randomBatch(Data, Rows, Actions, 5, 11);
+      UpdateStats Got = Trainer.updateFromBatch(Batch);
+      UpdateStats Want = Ref.update(Batch);
+      EXPECT_EQ(Got.StepsDone, Want.StepsDone);
+      EXPECT_TRUE(
+          sameDoubleBits(Got.MeanEpisodicReturn, Want.MeanEpisodicReturn));
+      EXPECT_TRUE(sameDoubleBits(Got.PolicyLoss, Want.PolicyLoss));
+      EXPECT_TRUE(sameDoubleBits(Got.ValueLoss, Want.ValueLoss));
+      EXPECT_TRUE(sameDoubleBits(Got.Entropy, Want.Entropy));
+      EXPECT_TRUE(sameDoubleBits(Got.ApproxKl, Want.ApproxKl));
+      EXPECT_TRUE(sameDoubleBits(Got.ClipFraction, Want.ClipFraction));
+
+      std::vector<Tensor> GotParams = Trainer.net().parameters();
+      std::vector<Tensor> WantParams = Ref.Net.parameters();
+      ASSERT_EQ(GotParams.size(), WantParams.size());
+      for (size_t P = 0; P < GotParams.size(); ++P) {
+        EXPECT_TRUE(sameBits(GotParams[P].data(), WantParams[P].data()))
+            << "parameter " << P;
+        EXPECT_TRUE(sameBits(Trainer.optimizer().firstMoments()[P],
+                             Ref.Optimizer.firstMoments()[P]))
+            << "first moment " << P;
+        EXPECT_TRUE(sameBits(Trainer.optimizer().secondMoments()[P],
+                             Ref.Optimizer.secondMoments()[P]))
+            << "second moment " << P;
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
