@@ -295,14 +295,10 @@ Tensor rl::sumRows(const Tensor &A) {
 }
 
 Tensor rl::concat(const Tensor &A, const Tensor &B) {
-  assert(A.shape().size() == B.shape().size() && A.shape().size() <= 2);
-  bool Rowwise = A.shape().size() == 2;
-  size_t Rows = Rowwise ? A.shape()[0] : 1;
-  assert(!Rowwise || B.shape()[0] == Rows);
-  size_t M = A.size() / Rows, Nb = B.size() / Rows;
-  std::vector<size_t> Shape = Rowwise ? std::vector<size_t>{Rows, M + Nb}
-                                      : std::vector<size_t>{M + Nb};
-  auto N = makeNode(std::move(Shape), {A.node(), B.node()});
+  assert(A.shape().size() == 2 && B.shape().size() == 2 &&
+         A.shape()[0] == B.shape()[0] && "concat takes [R, M] and [R, N]");
+  size_t Rows = A.shape()[0], M = A.shape()[1], Nb = B.shape()[1];
+  auto N = makeNode({Rows, M + Nb}, {A.node(), B.node()});
   for (size_t R = 0; R < Rows; ++R) {
     float *Dst = N->Data.data() + R * (M + Nb);
     std::copy_n(A.data().data() + R * M, M, Dst);
@@ -353,10 +349,7 @@ Tensor rl::linear(const Tensor &W, const Tensor &X, const Tensor &B) {
   size_t Out = W.shape()[0], In = W.shape()[1];
   assert(X.size() % In == 0 && B.size() == Out);
   size_t Rows = X.size() / In;
-  std::vector<size_t> Shape = X.shape().size() == 1
-                                  ? std::vector<size_t>{Out}
-                                  : std::vector<size_t>{Rows, Out};
-  auto N = makeNode(std::move(Shape), {W.node(), X.node(), B.node()});
+  auto N = makeNode({Rows, Out}, {W.node(), X.node(), B.node()});
   for (size_t R = 0; R < Rows; ++R) {
     const float *XRow = X.data().data() + R * In;
     for (size_t O = 0; O < Out; ++O) {
@@ -542,24 +535,12 @@ Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
   return Tensor(N);
 }
 
-namespace {
-
-/// A pool's output shape: [C] for one sample spanning the axis, else
-/// [Samples, C].
-std::vector<size_t> poolShape(const std::vector<size_t> &Lengths,
-                              size_t Samples, size_t C) {
-  return Lengths.empty() ? std::vector<size_t>{C}
-                         : std::vector<size_t>{Samples, C};
-}
-
-} // namespace
-
 Tensor rl::meanPool(const Tensor &X, const std::vector<size_t> &Lengths) {
   assert(X.shape().size() == 2);
   size_t C = X.shape()[0], Total = X.shape()[1];
   auto Off = segmentOffsets(Lengths, Total);
   size_t Samples = Off->size() - 1;
-  auto N = makeNode(poolShape(Lengths, Samples, C), {X.node()});
+  auto N = makeNode({Samples, C}, {X.node()});
   for (size_t Sm = 0; Sm < Samples; ++Sm) {
     size_t Base = (*Off)[Sm], L = (*Off)[Sm + 1] - Base;
     for (size_t Ch = 0; Ch < C; ++Ch) {
@@ -592,7 +573,7 @@ Tensor rl::maxPool(const Tensor &X, const std::vector<size_t> &Lengths) {
   size_t C = X.shape()[0], Total = X.shape()[1];
   auto Off = segmentOffsets(Lengths, Total);
   size_t Samples = Off->size() - 1;
-  auto N = makeNode(poolShape(Lengths, Samples, C), {X.node()});
+  auto N = makeNode({Samples, C}, {X.node()});
   // The first maximum of each sample's row, as a flat index into X.
   auto ArgMax = std::make_shared<std::vector<size_t>>(Samples * C);
   for (size_t Sm = 0; Sm < Samples; ++Sm) {

@@ -100,8 +100,7 @@ Tensor sumT(const Tensor &A);                 ///< -> scalar
 Tensor meanT(const Tensor &A);                ///< -> scalar
 /// Sum over the last axis: [N, K] -> [N] (a 1-D tensor is one row).
 Tensor sumRows(const Tensor &A);
-/// Concatenation along the last axis: 1-D [M] and [N] -> [M + N], or
-/// row by row, [R, M] and [R, N] -> [R, M + N].
+/// Row by row concatenation: [R, M] and [R, N] -> [R, M + N].
 Tensor concat(const Tensor &A, const Tensor &B);
 /// 1-D pick -> [1].
 Tensor gather(const Tensor &A, size_t Index);
@@ -118,18 +117,16 @@ Tensor gather(const Tensor &A, const std::vector<size_t> &Indices);
 /// its own, with same-padding at its own edges; an empty \p Lengths
 /// means one sample spanning the whole axis.
 /// @{
-/// y = W x + b with W [Out, In], x [In], b [Out] -> [Out]; or row by
-/// row, x [R, In] -> [R, Out].
+/// y = W x + b row by row: W [Out, In], x [R, In] (or [In], one row),
+/// b [Out] -> [R, Out].
 Tensor linear(const Tensor &W, const Tensor &X, const Tensor &B);
 /// Same-padded 1-D convolution: X [Cin, L], W [Cout, Cin, K], B [Cout]
 /// -> [Cout, L]. K must be odd.
 Tensor conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
               const std::vector<size_t> &Lengths = {});
-/// Mean over each sample's length: [C, L] -> [C], or [B, C] for B
-/// packed samples.
+/// Mean over each sample's length: [C, L] -> [Samples, C].
 Tensor meanPool(const Tensor &X, const std::vector<size_t> &Lengths = {});
-/// Max over each sample's length: [C, L] -> [C], or [B, C] for B
-/// packed samples.
+/// Max over each sample's length: [C, L] -> [Samples, C].
 Tensor maxPool(const Tensor &X, const std::vector<size_t> &Lengths = {});
 /// Sets masked-out entries (Mask[i] == 0) to -1e9; gradient flows only
 /// through kept entries. A [A]-shaped op for invalid-action masking.
