@@ -449,8 +449,8 @@ Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
       const float *WRow = W.data().data() + (O * Cin + C) * K;
       for (size_t T = 0; T < K; ++T) {
         float Wt = WRow[T];
-        for (size_t S = 0; S < Samples; ++S) {
-          size_t Base = (*Off)[S], L = (*Off)[S + 1] - Base;
+        for (size_t Sm = 0; Sm < Samples; ++Sm) {
+          size_t Base = (*Off)[Sm], L = (*Off)[Sm + 1] - Base;
           TapSpan Span = tapSpan(T, Pad, L);
           if (Span.Lo >= Span.Hi)
             continue;
