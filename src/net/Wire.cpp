@@ -290,6 +290,10 @@ std::string unservableConfig(const core::OptimizeConfig &Cfg) {
     return Above("Ppo.Channels", kMaxPpoChannels);
   if (Cfg.Ppo.Hidden > kMaxPpoHidden)
     return Above("Ppo.Hidden", kMaxPpoHidden);
+  if (Cfg.Ppo.RolloutLen > kMaxRolloutLen)
+    return Above("Ppo.RolloutLen", kMaxRolloutLen);
+  if (Cfg.Ppo.Epochs > kMaxPpoEpochs)
+    return Above("Ppo.Epochs", kMaxPpoEpochs);
   if (Cfg.Game.Measure.WarmupIters > kMaxMeasureIters)
     return Above("Game.Measure.WarmupIters", kMaxMeasureIters);
   if (Cfg.Game.Measure.RepeatIters > kMaxMeasureIters)

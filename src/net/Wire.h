@@ -63,6 +63,13 @@ constexpr uint64_t kMaxPpoHidden = 4096;
 /// a value near 2^32 ties up a worker and wraps the execution count.
 /// The largest value any caller uses is 100 (the full-mode benches).
 constexpr uint32_t kMaxMeasureIters = 1000;
+/// Caps on Ppo.RolloutLen and Ppo.Epochs: every env stores RolloutLen
+/// transitions (observations included) per update, and every epoch
+/// re-packs all of them, so a value near 2^32 exhausts the daemon's
+/// memory or ties up a worker for good. The largest values any caller
+/// uses are 64 and 4.
+constexpr uint32_t kMaxRolloutLen = 1024;
+constexpr uint32_t kMaxPpoEpochs = 64;
 
 enum class FrameType : uint16_t {
   Request = 1,

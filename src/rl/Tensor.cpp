@@ -6,6 +6,8 @@
 
 #include "rl/Tensor.h"
 
+#include "rl/ConvKernels.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -59,6 +61,10 @@ void Tensor::backward() {
     }
     if (Cur->Visited == 1) {
       Cur->Visited = 2;
+      // An op's gradient buffer is made here, by the first backward
+      // that reaches it, so inference forwards never allocate one.
+      if (Cur->Grad.size() != Cur->size())
+        Cur->Grad.assign(Cur->size(), 0.0f);
       Order.push_back(Cur);
       Stack.pop_back();
       continue;
@@ -86,7 +92,6 @@ std::shared_ptr<TensorNode> makeNode(std::vector<size_t> Shape,
   for (size_t D : Shape)
     Total *= D;
   N->Data.assign(Total, 0.0f);
-  N->Grad.assign(Total, 0.0f);
   N->Shape = std::move(Shape);
   for (const auto &P : Parents)
     N->RequiresGrad = N->RequiresGrad || P->RequiresGrad;
@@ -190,9 +195,15 @@ Tensor rl::relu(const Tensor &A) {
   std::weak_ptr<TensorNode> Self = N;
   N->Backward = [An, Self] {
     auto S = Self.lock();
-    for (size_t I = 0; I < S->size(); ++I)
-      if (An->Data[I] > 0.0f)
-        An->Grad[I] += S->Grad[I];
+    // A select, not a branch (the sign of an activation is a coin
+    // flip): a blocked term adds +0, which leaves a gradient unchanged
+    // since none is ever -0.
+    const float *In = An->Data.data(), *Up = S->Grad.data();
+    float *Down = An->Grad.data();
+    for (size_t I = 0, E = S->size(); I < E; ++I) {
+      const float G = Up[I];
+      Down[I] += In[I] > 0.0f ? G : 0.0f;
+    }
   };
   return Tensor(N);
 }
@@ -388,21 +399,6 @@ Tensor rl::linear(const Tensor &W, const Tensor &X, const Tensor &B) {
 
 namespace {
 
-/// Output positions [Lo, Hi) whose tap \p T reads an in-bounds input
-/// (input position P + T - Pad in [0, L)). Empty (Lo >= Hi) when the tap
-/// misses every position, e.g. an outer tap of a program shorter than
-/// the kernel's half-width.
-struct TapSpan {
-  size_t Lo, Hi;
-};
-
-TapSpan tapSpan(size_t T, size_t Pad, size_t L) {
-  size_t Lo = T < Pad ? Pad - T : 0;
-  size_t Shift = T > Pad ? T - Pad : 0;
-  size_t Hi = Shift < L ? L - Shift : 0;
-  return {Lo, Hi};
-}
-
 /// Column offsets of the samples packed along a length axis of \p Total
 /// columns: sample b spans [Off[b], Off[b + 1]). An empty \p Lengths
 /// is one sample spanning the axis.
@@ -427,110 +423,31 @@ segmentOffsets(const std::vector<size_t> &Lengths, size_t Total) {
 // output element receives its bias, then its (C, T) terms in ascending
 // order; every weight and bias gradient element receives its terms in
 // ascending (sample, P); every input gradient element receives its
-// terms in ascending (O, P). The loops are arranged so each innermost
-// loop runs over a clamped range without a bounds branch, never by
-// reordering the sum of any one element.
+// terms in ascending (O, P). The register-blocked kernels in
+// rl/ConvKernels.cpp keep it at every SIMD width.
 Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
                   const std::vector<size_t> &Lengths) {
   assert(X.shape().size() == 2 && W.shape().size() == 3);
   size_t Cin = X.shape()[0], Total = X.shape()[1];
   size_t Cout = W.shape()[0], K = W.shape()[2];
   assert(W.shape()[1] == Cin && B.size() == Cout && K % 2 == 1);
-  size_t Pad = K / 2;
   auto Off = segmentOffsets(Lengths, Total);
-  size_t Samples = Off->size() - 1;
+  const conv::Geometry G{Cin, Cout, K, Total, Off->data(), Off->size() - 1};
+  const conv::Kernels *Kern = &conv::selected();
 
   auto N = makeNode({Cout, Total}, {X.node(), W.node(), B.node()});
-  for (size_t O = 0; O < Cout; ++O) {
-    float *Out = N->Data.data() + O * Total;
-    std::fill(Out, Out + Total, B.data()[O]);
-    for (size_t C = 0; C < Cin; ++C) {
-      const float *XRow = X.data().data() + C * Total;
-      const float *WRow = W.data().data() + (O * Cin + C) * K;
-      for (size_t T = 0; T < K; ++T) {
-        float Wt = WRow[T];
-        for (size_t Sm = 0; Sm < Samples; ++Sm) {
-          size_t Base = (*Off)[Sm], L = (*Off)[Sm + 1] - Base;
-          TapSpan Span = tapSpan(T, Pad, L);
-          if (Span.Lo >= Span.Hi)
-            continue;
-          float *Dst = Out + Base + Span.Lo;
-          const float *Src = XRow + Base + (Span.Lo + T - Pad);
-          for (size_t I = 0, E = Span.Hi - Span.Lo; I < E; ++I)
-            Dst[I] += Wt * Src[I];
-        }
-      }
-    }
-  }
+  Kern->Forward(G, X.data().data(), W.data().data(), B.data().data(),
+                N->Data.data());
   auto Xn = X.node(), Wn = W.node(), Bn = B.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [Xn, Wn, Bn, Self, Off, Samples, Cin, Cout, Total, K, Pad] {
+  // Off keeps G.Offsets alive for the closure.
+  N->Backward = [Xn, Wn, Bn, Self, Off, G, Kern] {
     auto S = Self.lock();
-    // Weight and bias gradients: samples in order and P ascending within
-    // each, outside T and C, with the valid taps of each P clamped once.
-    // The weight gradient is summed in a [O, T, C] copy that starts from
-    // its current values, against a [L, C] copy of the input, so the
-    // innermost loop runs over contiguous channels; each element still
-    // gets its terms in (sample, P) order.
-    std::vector<float> XT(Total * Cin), WG(Cout * K * Cin);
-    for (size_t C = 0; C < Cin; ++C)
-      for (size_t Q = 0; Q < Total; ++Q)
-        XT[Q * Cin + C] = Xn->Data[C * Total + Q];
-    for (size_t O = 0; O < Cout; ++O)
-      for (size_t C = 0; C < Cin; ++C)
-        for (size_t T = 0; T < K; ++T)
-          WG[(O * K + T) * Cin + C] = Wn->Grad[(O * Cin + C) * K + T];
-    for (size_t O = 0; O < Cout; ++O) {
-      for (size_t Sm = 0; Sm < Samples; ++Sm) {
-        size_t Base = (*Off)[Sm], L = (*Off)[Sm + 1] - Base;
-        for (size_t P = 0; P < L; ++P) {
-          float G = S->Grad[O * Total + Base + P];
-          if (G == 0.0f)
-            continue;
-          Bn->Grad[O] += G;
-          size_t TLo = P < Pad ? Pad - P : 0;
-          size_t THi = std::min(K, L - P + Pad);
-          for (size_t T = TLo; T < THi; ++T) {
-            float *Dst = WG.data() + (O * K + T) * Cin;
-            const float *Src = XT.data() + (Base + P + T - Pad) * Cin;
-            for (size_t C = 0; C < Cin; ++C)
-              Dst[C] += G * Src[C];
-          }
-        }
-      }
-    }
-    for (size_t O = 0; O < Cout; ++O)
-      for (size_t C = 0; C < Cin; ++C)
-        for (size_t T = 0; T < K; ++T)
-          Wn->Grad[(O * Cin + C) * K + T] = WG[(O * K + T) * Cin + C];
-    // Input gradient (skipped for inputs that take none, such as the
-    // observation): T descending outside P, so each input position still
-    // receives its terms in ascending P. Zero-gradient terms are added
-    // rather than skipped: with finite weights that adds +-0, and
-    // x + (+-0) == x for every gradient, since a sum of floats started
-    // at +0 is never -0.
-    if (!Xn->RequiresGrad)
-      return;
-    for (size_t O = 0; O < Cout; ++O) {
-      const float *GRow = S->Grad.data() + O * Total;
-      for (size_t C = 0; C < Cin; ++C) {
-        float *XGrad = Xn->Grad.data() + C * Total;
-        const float *WRow = Wn->Data.data() + (O * Cin + C) * K;
-        for (size_t T = K; T-- > 0;) {
-          float Wt = WRow[T];
-          for (size_t Sm = 0; Sm < Samples; ++Sm) {
-            size_t Base = (*Off)[Sm], L = (*Off)[Sm + 1] - Base;
-            TapSpan Span = tapSpan(T, Pad, L);
-            if (Span.Lo >= Span.Hi)
-              continue;
-            float *Dst = XGrad + Base + (Span.Lo + T - Pad);
-            const float *Src = GRow + Base + Span.Lo;
-            for (size_t I = 0, E = Span.Hi - Span.Lo; I < E; ++I)
-              Dst[I] += Src[I] * Wt;
-          }
-        }
-      }
-    }
+    Kern->WeightGrad(G, Xn->Data.data(), S->Grad.data(), Wn->Grad.data(),
+                     Bn->Grad.data());
+    // Skipped for inputs that take no gradient, such as the observation.
+    if (Xn->RequiresGrad)
+      Kern->InputGrad(G, Wn->Data.data(), S->Grad.data(), Xn->Grad.data());
   };
   return Tensor(N);
 }

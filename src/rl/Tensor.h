@@ -30,6 +30,8 @@ namespace rl {
 /// Graph node: storage, gradient and the backward closure.
 struct TensorNode {
   std::vector<float> Data;
+  /// Same size as Data: leaves get it at construction, op results on
+  /// the first backward() that reaches them (empty until then).
   std::vector<float> Grad;
   std::vector<size_t> Shape;
   bool RequiresGrad = false;

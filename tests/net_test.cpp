@@ -440,6 +440,29 @@ TEST(WireTest, OversizedPpoHiddenIsRejected) {
   expectFieldRejected(Cfg, "Ppo.Hidden");
 }
 
+// Each env stores RolloutLen transitions per update and every epoch
+// re-packs them all: an oversized value exhausts the serving process's
+// memory or ties up a worker. The cap itself is still accepted.
+TEST(WireTest, OversizedRolloutLenIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.Ppo.RolloutLen = kMaxRolloutLen;
+  ASSERT_TRUE(static_cast<bool>(decodeWithConfig(Cfg)));
+  Cfg.Ppo.RolloutLen = kMaxRolloutLen + 1;
+  expectFieldRejected(Cfg, "Ppo.RolloutLen");
+  Cfg.Ppo.RolloutLen = UINT32_MAX;
+  expectFieldRejected(Cfg, "Ppo.RolloutLen");
+}
+
+TEST(WireTest, OversizedEpochsIsRejected) {
+  core::OptimizeConfig Cfg = tinyConfig();
+  Cfg.Ppo.Epochs = kMaxPpoEpochs;
+  ASSERT_TRUE(static_cast<bool>(decodeWithConfig(Cfg)));
+  Cfg.Ppo.Epochs = kMaxPpoEpochs + 1;
+  expectFieldRejected(Cfg, "Ppo.Epochs");
+  Cfg.Ppo.Epochs = UINT32_MAX;
+  expectFieldRejected(Cfg, "Ppo.Epochs");
+}
+
 // A job draws one jitter value per rep and counts warmups plus reps
 // per measurement, so a huge count ties up a worker and wraps the
 // count. Both measure configs are capped; the cap itself is accepted.

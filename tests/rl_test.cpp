@@ -6,6 +6,7 @@
 
 #include "rl/ActorCritic.h"
 #include "rl/Adam.h"
+#include "rl/ConvKernels.h"
 #include "rl/Ppo.h"
 #include "rl/RolloutRunner.h"
 #include "rl/Tensor.h"
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <memory>
 #include <sstream>
 
@@ -362,6 +364,203 @@ TEST(Autograd, Conv1dInputWithoutGradStaysZero) {
   EXPECT_TRUE(sameBits(Without.BGrad, With.BGrad));
   EXPECT_TRUE(std::any_of(With.XGrad.begin(), With.XGrad.end(),
                           [](float V) { return V != 0.0f; }));
+}
+
+//===----------------------------------------------------------------------===//
+// Conv kernels: every compiled instance at the edges of its tiles
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One packed conv1d case: inputs, the upstream gradient of the output
+/// and the gradients the passes accumulate onto.
+struct ConvCase {
+  size_t Cin = 0, Cout = 0, K = 0;
+  std::vector<size_t> Lengths;
+  size_t Total = 0;
+  std::vector<float> X, W, B, Up;
+  ConvResult Start;
+};
+
+/// A seeded case. The upstream gradient is zero at about 40% of the
+/// entries (as after relu), and output channel O's whole row is zero
+/// when (O + Case) % 3 == 0; every other case accumulates onto nonzero
+/// gradients.
+ConvCase makeConvCase(Rng &R, unsigned Case, size_t Cin, size_t Cout,
+                      size_t K, std::vector<size_t> Lengths) {
+  ConvCase C;
+  C.Cin = Cin;
+  C.Cout = Cout;
+  C.K = K;
+  C.Lengths = std::move(Lengths);
+  for (size_t L : C.Lengths)
+    C.Total += L;
+  C.X = uniformFloats(R, Cin * C.Total);
+  C.W = uniformFloats(R, Cout * Cin * K);
+  C.B = uniformFloats(R, Cout);
+  C.Up = uniformFloats(R, Cout * C.Total);
+  for (size_t O = 0; O < Cout; ++O)
+    for (size_t Q = 0; Q < C.Total; ++Q) {
+      float &G = C.Up[O * C.Total + Q];
+      if ((O + Case) % 3 == 0 || G < -0.2f)
+        G = 0.0f;
+    }
+  C.Start = startGrads(R, /*Seeded=*/Case % 2 == 1, Cin, Cout, K, C.Total);
+  return C;
+}
+
+/// The scalar reference applied sample by sample: each sample's output
+/// and input gradient are its own, and the weight and bias gradients
+/// receive the samples' terms first sample first.
+ConvResult scalarPacked(const ConvCase &C) {
+  ConvResult Ref = C.Start;
+  Ref.Out.assign(C.Cout * C.Total, 0.0f);
+  size_t Base = 0;
+  for (size_t L : C.Lengths) {
+    ConvResult SampleStart = Ref;
+    SampleStart.XGrad = columns(C.Start.XGrad, C.Cin, C.Total, Base, L);
+    ConvResult One = scalarConv1d(columns(C.X, C.Cin, C.Total, Base, L), C.W,
+                                  C.B, columns(C.Up, C.Cout, C.Total, Base, L),
+                                  SampleStart, C.Cin, C.Cout, C.K, L);
+    for (size_t O = 0; O < C.Cout; ++O)
+      std::copy_n(One.Out.data() + O * L, L,
+                  Ref.Out.data() + O * C.Total + Base);
+    for (size_t Ch = 0; Ch < C.Cin; ++Ch)
+      std::copy_n(One.XGrad.data() + Ch * L, L,
+                  Ref.XGrad.data() + Ch * C.Total + Base);
+    Ref.WGrad = One.WGrad;
+    Ref.BGrad = One.BGrad;
+    Base += L;
+  }
+  return Ref;
+}
+
+/// The three passes of one compiled instance, called directly.
+ConvResult instanceConv(const conv::Kernels &I, const ConvCase &C) {
+  std::vector<size_t> Off = {0};
+  for (size_t L : C.Lengths)
+    Off.push_back(Off.back() + L);
+  const conv::Geometry G{C.Cin, C.Cout, C.K, C.Total, Off.data(),
+                         C.Lengths.size()};
+  ConvResult R = C.Start;
+  R.Out.assign(C.Cout * C.Total, 0.0f);
+  I.Forward(G, C.X.data(), C.W.data(), C.B.data(), R.Out.data());
+  I.WeightGrad(G, C.X.data(), C.Up.data(), R.WGrad.data(), R.BGrad.data());
+  I.InputGrad(G, C.W.data(), C.Up.data(), R.XGrad.data());
+  return R;
+}
+
+/// conv1d and backward(), with the upstream gradient fed in exactly
+/// (the gradient of sum(Y * Up) with respect to Y is Up).
+ConvResult tensorConv(const ConvCase &C) {
+  Tensor Xt = Tensor::fromVector(C.X, {C.Cin, C.Total}, true);
+  Tensor Wt = Tensor::fromVector(C.W, {C.Cout, C.Cin, C.K}, true);
+  Tensor Bt = Tensor::fromVector(C.B, {C.Cout}, true);
+  Xt.grad() = C.Start.XGrad;
+  Wt.grad() = C.Start.WGrad;
+  Bt.grad() = C.Start.BGrad;
+  Tensor Y = conv1d(Xt, Wt, Bt, C.Lengths);
+  sumT(mul(Y, Tensor::fromVector(C.Up, {C.Cout, C.Total}))).backward();
+  EXPECT_TRUE(sameBits(Y.grad(), C.Up)) << "upstream gradient";
+  return {Y.data(), Wt.grad(), Bt.grad(), Xt.grad()};
+}
+
+void expectSameResult(const ConvResult &Got, const ConvResult &Ref) {
+  EXPECT_TRUE(sameBits(Got.Out, Ref.Out)) << "forward output";
+  EXPECT_TRUE(sameBits(Got.WGrad, Ref.WGrad)) << "weight gradient";
+  EXPECT_TRUE(sameBits(Got.BGrad, Ref.BGrad)) << "bias gradient";
+  EXPECT_TRUE(sameBits(Got.XGrad, Ref.XGrad)) << "input gradient";
+}
+
+/// Checks conv1d and every runnable compiled instance against the
+/// scalar reference on \p C. \returns the instances that ran.
+unsigned checkAllKernels(const ConvCase &C) {
+  ConvResult Ref = scalarPacked(C);
+  {
+    SCOPED_TRACE("conv1d");
+    expectSameResult(tensorConv(C), Ref);
+  }
+  unsigned Ran = 0;
+  for (const conv::Kernels &I : conv::instances()) {
+    if (!I.Runnable)
+      continue;
+    SCOPED_TRACE(I.Name);
+    expectSameResult(instanceConv(I, C), Ref);
+    ++Ran;
+  }
+  return Ran;
+}
+
+unsigned runnableInstances() {
+  return static_cast<unsigned>(
+      std::count_if(conv::instances().begin(), conv::instances().end(),
+                    [](const conv::Kernels &I) { return I.Runnable; }));
+}
+
+} // namespace
+
+TEST(ConvKernels, InstancesAndSelection) {
+  const std::vector<conv::Kernels> &All = conv::instances();
+  ASSERT_FALSE(All.empty());
+#if defined(__x86_64__) || defined(__i386__)
+  // The 8-lane AVX2 instance and the baseline 4-lane one.
+  EXPECT_EQ(All.size(), 2u);
+#endif
+  // The baseline instance needs no ISA extension.
+  EXPECT_TRUE(All.back().Runnable);
+  const conv::Kernels &Pick = conv::selected();
+  EXPECT_TRUE(Pick.Runnable);
+  for (const conv::Kernels &I : All) {
+    if (&I == &Pick)
+      break;
+    EXPECT_FALSE(I.Runnable) << I.Name << " is wider than the selection";
+  }
+  for (const conv::Kernels &I : All)
+    if (!I.Runnable)
+      std::cout << "[ NOTE     ] conv instance " << I.Name
+                << " cannot run on this CPU and is not tested here\n";
+}
+
+TEST(ConvKernels, Conv1dEdgesMatchScalarReference) {
+  // One sample at the edges of the tiles: output channels not a multiple
+  // of the 4-channel tile, input channels that leave a partial vector,
+  // and programs shorter than a tile and than K/2.
+  Rng R(23);
+  unsigned Cases = 0, Runs = 0;
+  for (size_t Cin : {1u, 7u, 17u, 33u})
+    for (size_t Cout : {1u, 5u, 16u})
+      for (size_t K : {1u, 3u, 5u, 7u})
+        for (size_t L : {1u, 2u, 3u, 8u, 16u, 17u, 40u}) {
+          SCOPED_TRACE(testing::Message() << "Cin " << Cin << " Cout "
+                                          << Cout << " K " << K << " L "
+                                          << L);
+          Runs += checkAllKernels(makeConvCase(R, Cases, Cin, Cout, K, {L}));
+          ++Cases;
+        }
+  EXPECT_EQ(Cases, 336u);
+  EXPECT_EQ(Runs, Cases * runnableInstances());
+}
+
+TEST(ConvKernels, BatchedConv1dEdgesMatchScalarReference) {
+  // 1 to 32 ragged samples, each 1 to 40 rows long.
+  Rng R(24);
+  unsigned Cases = 0, Runs = 0;
+  for (size_t Cin : {1u, 7u, 17u, 33u})
+    for (size_t Cout : {1u, 5u, 16u})
+      for (size_t K : {1u, 3u, 5u, 7u})
+        for (size_t Samples : {1u, 2u, 3u, 7u, 32u}) {
+          std::vector<size_t> Lengths(Samples);
+          for (size_t &L : Lengths)
+            L = 1 + R.uniformInt(40);
+          SCOPED_TRACE(testing::Message() << "Cin " << Cin << " Cout "
+                                          << Cout << " K " << K
+                                          << " samples " << Samples);
+          Runs += checkAllKernels(
+              makeConvCase(R, Cases, Cin, Cout, K, std::move(Lengths)));
+          ++Cases;
+        }
+  EXPECT_EQ(Cases, 240u);
+  EXPECT_EQ(Runs, Cases * runnableInstances());
 }
 
 TEST(Autograd, PoolingFiniteDiff) {
