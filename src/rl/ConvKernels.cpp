@@ -31,6 +31,8 @@ using namespace cuasmrl;
 using namespace cuasmrl::rl;
 using namespace cuasmrl::rl::conv;
 
+// Every Blocked<N> member is inlined into its instance's entry point,
+// so it is compiled for that entry point's target (AVX2 or baseline).
 #define CONV_INLINE inline __attribute__((always_inline))
 
 namespace {
